@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "comm/channel.hpp"
+#include "comm/simd/acs_kernel.hpp"
 #include "exec/thread_pool.hpp"
 #include "util/rng.hpp"
 
@@ -457,6 +458,29 @@ std::vector<std::vector<int>> decode_frames(
   return result;
 }
 
+std::size_t ber_lane_group_size(const DecoderSpec& spec, std::size_t shards,
+                                std::size_t lane_cap,
+                                std::size_t pool_threads) {
+  shards = std::max<std::size_t>(1, shards);
+  lane_cap = std::max<std::size_t>(1, lane_cap);
+  pool_threads = std::max<std::size_t>(1, pool_threads);
+  const std::size_t fill = (shards + pool_threads - 1) / pool_threads;
+  // The narrowest group the Viterbi ACS runs on a vector kernel; multires
+  // groups only fill the pool (see the declaration).
+  std::size_t narrowest_vector = 1;
+  if (spec.kind != DecoderKind::Multires) {
+    for (std::size_t lanes = 2; lanes <= std::min(lane_cap, shards);
+         ++lanes) {
+      if (simd::frame_kernel_isa(simd::FrameMetric::Int32, lanes) !=
+          simd::Isa::Scalar) {
+        narrowest_vector = lanes;
+        break;
+      }
+    }
+  }
+  return std::max(narrowest_vector, std::min(lane_cap, fill));
+}
+
 BerPoint measure_ber(const DecoderSpec& spec, double esn0_db,
                      const BerRunConfig& config) {
   if (config.max_bits == 0) {
@@ -498,19 +522,19 @@ BerPoint measure_ber(const DecoderSpec& spec, double esn0_db,
       std::max<std::uint64_t>(1, shard_budget(config.max_errors, shards));
 
   // Group shards into SIMD lanes of one frame-parallel decoder each
-  // (frames x threads x lanes). The group size fills the thread pool
-  // first — groups never drop below the pool's parallelism — and only the
-  // surplus shards widen into lanes, so a many-core / few-shard run keeps
-  // its thread-level speedup. Group size depends on the configured pool
-  // size, never on runtime load, and per-shard results are lane-invariant,
-  // so the measurement stays deterministic.
+  // (frames x threads x lanes); ber_lane_group_size holds the policy.
+  // Group size depends on the configured pool size and the call site,
+  // never on runtime load, and per-shard results are lane-invariant, so
+  // the measurement stays deterministic.
   const std::size_t lane_cap = config.lanes > 0
                                    ? static_cast<std::size_t>(config.lanes)
                                    : default_frame_lanes();
   const std::size_t pool_threads =
-      std::max<std::size_t>(1, exec::ThreadPool::global().size());
-  const std::size_t group_size = std::max<std::size_t>(
-      1, std::min(lane_cap, (shards + pool_threads - 1) / pool_threads));
+      exec::ThreadPool::on_worker_thread()
+          ? 1
+          : std::max<std::size_t>(1, exec::ThreadPool::global().size());
+  const std::size_t group_size =
+      ber_lane_group_size(spec, shards, lane_cap, pool_threads);
   const std::size_t num_groups = (shards + group_size - 1) / group_size;
 
   std::vector<util::ProportionEstimate> per_shard(shards);

@@ -97,9 +97,9 @@ struct BerRunConfig {
   /// SIMD lane axis; see comm/frame_decode.hpp). 0 = auto
   /// (default_frame_lanes(), i.e. the dispatched ISA's vector width or the
   /// METACORE_LANES override); 1 forces the degenerate one-stream-per-
-  /// decoder path. Shards are grouped to fill the thread pool first and
-  /// the lanes second (frames x threads x lanes), and because every lane
-  /// is bit-identical to a standalone decoder, this knob NEVER changes the
+  /// decoder path. How shards fill lanes and threads (frames x threads x
+  /// lanes) is ber_lane_group_size's policy, and because every lane is
+  /// bit-identical to a standalone decoder, this knob NEVER changes the
   /// measurement — only its throughput.
   int lanes = 0;
 };
@@ -109,6 +109,24 @@ struct BerPoint {
   util::ProportionEstimate errors;  ///< bit errors over decoded bits
   double ber() const { return errors.rate(); }
 };
+
+/// Shards per frame-parallel decoder (lane group) in a sharded measure_ber
+/// run of `spec`, with `lane_cap` the resolved BerRunConfig::lanes and
+/// `pool_threads` the threads the call can fan out to: the global pool's
+/// size at top level, 1 when called from inside pool work (where its
+/// parallel_for runs inline) or on a serial pool. Groups fill the threads
+/// (`ceil(shards / pool_threads)` shards each, capped by `lane_cap`), but a
+/// Viterbi group is never narrower than the smallest lane count whose ACS
+/// runs a vector kernel (simd::frame_kernel_isa; 4 on SSE4.2 and up). A
+/// narrower group runs the scalar kernel; one vector group on one thread
+/// costs a fraction of the CPU time of that many scalar groups on as many
+/// threads, is faster outright at long constraint lengths, and needs no
+/// cross-thread hand-off per measurement. Multires groups only fill the
+/// threads, because their per-lane path refinement is scalar. Depends on
+/// the dispatched (or forced) ISA, never on runtime load.
+std::size_t ber_lane_group_size(const DecoderSpec& spec, std::size_t shards,
+                                std::size_t lane_cap,
+                                std::size_t pool_threads);
 
 /// Measures BER for one decoder spec at one channel point.
 BerPoint measure_ber(const DecoderSpec& spec, double esn0_db,

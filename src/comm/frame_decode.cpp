@@ -113,6 +113,8 @@ FrameViterbiDecoder::FrameViterbiDecoder(const Trellis& trellis,
       traceback_depth_(traceback_depth),
       quantizer_(quantizer),
       lanes_(lanes),
+      kernel_isa_(simd::frame_kernel_isa(simd::FrameMetric::Int32, lanes)),
+      acs_(simd::frame_viterbi_acs(kernel_isa_)),
       norm_threshold_(detail::kPathMetricNormalizeThreshold) {
   if (traceback_depth_ < 1) {
     throw std::invalid_argument(
@@ -176,7 +178,6 @@ std::size_t FrameViterbiDecoder::decode_chunk(const double* const* rx,
   const auto n = static_cast<std::size_t>(trellis_->symbols_per_step());
   const std::uint32_t* pred_state = trellis_->pred_states().data();
   const std::uint32_t* pred_symbols = trellis_->pred_symbols().data();
-  const simd::FrameViterbiAcsFn acs = simd::frame_viterbi_acs();
   const std::size_t slab = kSubChunkSteps * n;
 
   std::size_t written = 0;
@@ -196,9 +197,9 @@ std::size_t FrameViterbiDecoder::decode_chunk(const double* const* rx,
           survivors_.data() +
           static_cast<std::size_t>(steps_ % traceback_depth_) * states *
               lanes_;
-      acs(acc_.data(), next_acc_.data(), pred_state, pred_symbols,
-          metric_by_pattern_.data(), survivor_row, states, lanes_,
-          best_metric_.data(), best_state_.data());
+      acs_(acc_.data(), next_acc_.data(), pred_state, pred_symbols,
+           metric_by_pattern_.data(), survivor_row, states, lanes_,
+           best_metric_.data(), best_state_.data());
       acc_.swap(next_acc_);
       ++steps_;
 
@@ -250,6 +251,8 @@ FrameMultiresDecoder::FrameMultiresDecoder(const Trellis& trellis,
            config.low_res_bits, amplitude, noise_sigma),
       high_(config.method, config.high_res_bits, amplitude, noise_sigma),
       lanes_(lanes),
+      kernel_isa_(simd::frame_kernel_isa(simd::FrameMetric::Double, lanes)),
+      acs_(simd::frame_multires_acs(kernel_isa_)),
       norm_threshold_(detail::kMultiresNormalizeThreshold) {
   config_.validate(trellis_->num_states());
   if (lanes_ < 1) {
@@ -322,7 +325,6 @@ std::size_t FrameMultiresDecoder::decode_chunk(const double* const* rx,
   const auto n = static_cast<std::size_t>(trellis_->symbols_per_step());
   const std::uint32_t* pred_state = trellis_->pred_states().data();
   const std::uint32_t* pred_symbols = trellis_->pred_symbols().data();
-  const simd::FrameMultiresAcsFn acs = simd::frame_multires_acs();
   const std::size_t slab = kSubChunkSteps * n;
   const int m = config_.num_high_res_paths;
 
@@ -345,9 +347,9 @@ std::size_t FrameMultiresDecoder::decode_chunk(const double* const* rx,
           static_cast<std::size_t>(steps_ % config_.traceback_depth) *
               states * lanes_;
       // Phase 1: lane-parallel low-resolution ACS over every frame.
-      acs(acc_.data(), next_acc_.data(), pred_state, pred_symbols,
-          scaled_low_metric_by_pattern_.data(), survivor_row,
-          winning_scaled_metric_.data(), states, lanes_);
+      acs_(acc_.data(), next_acc_.data(), pred_state, pred_symbols,
+           scaled_low_metric_by_pattern_.data(), survivor_row,
+           winning_scaled_metric_.data(), states, lanes_);
 
       // Phase 2, scalar per lane (it is O(M), not O(states * lanes)): the
       // exact single-frame refinement — same partial_sort over the same

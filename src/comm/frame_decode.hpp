@@ -26,6 +26,7 @@
 
 #include "comm/multires_viterbi.hpp"
 #include "comm/quantizer.hpp"
+#include "comm/simd/acs_kernel.hpp"
 #include "comm/trellis.hpp"
 #include "comm/viterbi.hpp"
 
@@ -74,6 +75,11 @@ class FrameDecoder {
   virtual std::int64_t normalizations(std::size_t lane) const = 0;
 
   virtual const Trellis& trellis() const = 0;
+
+  /// The tier whose ACS kernel this decoder runs: fixed at construction to
+  /// simd::frame_kernel_isa(metric, lanes()), the widest tier at or below
+  /// the dispatched one whose vector fits the lane count.
+  virtual simd::Isa kernel_isa() const = 0;
 };
 
 /// Frame-parallel counterpart of ViterbiDecoder (hard or soft decision by
@@ -93,6 +99,7 @@ class FrameViterbiDecoder final : public FrameDecoder {
     return normalizations_[lane];
   }
   const Trellis& trellis() const override { return *trellis_; }
+  simd::Isa kernel_isa() const override { return kernel_isa_; }
 
   int traceback_depth() const { return traceback_depth_; }
 
@@ -110,6 +117,8 @@ class FrameViterbiDecoder final : public FrameDecoder {
   int traceback_depth_;
   Quantizer quantizer_;
   std::size_t lanes_;
+  simd::Isa kernel_isa_;
+  simd::FrameViterbiAcsFn acs_;
 
   /// Lane-major path metrics: entry s * lanes + l.
   std::vector<std::int32_t> acc_;
@@ -149,6 +158,7 @@ class FrameMultiresDecoder final : public FrameDecoder {
     return normalizations_[lane];
   }
   const Trellis& trellis() const override { return *trellis_; }
+  simd::Isa kernel_isa() const override { return kernel_isa_; }
 
   const MultiresConfig& config() const { return config_; }
 
@@ -168,6 +178,8 @@ class FrameMultiresDecoder final : public FrameDecoder {
   Quantizer high_;
   double scale_;
   std::size_t lanes_;
+  simd::Isa kernel_isa_;
+  simd::FrameMultiresAcsFn acs_;
 
   std::vector<double> acc_;       ///< lane-major: entry s * lanes + l
   std::vector<double> next_acc_;

@@ -60,6 +60,27 @@ void force_isa(Isa isa);
 /// tail), and the decoded output is lane-count-invariant by construction.
 std::size_t natural_frame_lanes(Isa isa);
 
+/// Path-metric element type of a frame-parallel kernel: int32 for the
+/// Viterbi ACS, double for the multiresolution low-res ACS. It fixes how
+/// many frames one vector register holds.
+enum class FrameMetric : std::uint8_t { Int32, Double };
+
+/// Frames one vector register of `isa` holds for `metric`: int32 takes
+/// 16 / 8 / 4 on AVX-512 / AVX2 / SSE4.2, double takes 8 / 4 / 2; the
+/// scalar reference handles 1 at a time.
+std::size_t frame_vector_lanes(Isa isa, FrameMetric metric);
+
+/// The tier a `lanes`-wide frame decoder runs its ACS kernel on: the
+/// widest available tier at or below `ceiling` whose vector fits into
+/// `lanes` (scalar when none does). A tier's kernel only vectorizes whole
+/// vectors and finishes the rest in a scalar tail, so a 4-lane decoder on
+/// an AVX-512 host runs the SSE4.2 int32 kernel instead of the AVX-512
+/// one's all-scalar tail. Every tier is bit-identical, so this is a pure
+/// throughput choice. The form without `ceiling` uses dispatched_isa(),
+/// so a METACORE_SIMD or force_isa choice is never exceeded.
+Isa frame_kernel_isa(FrameMetric metric, std::size_t lanes, Isa ceiling);
+Isa frame_kernel_isa(FrameMetric metric, std::size_t lanes);
+
 /// Result of one full ACS step: the running minimum over the updated path
 /// metrics and the first state index achieving it (the traceback start
 /// state; "first" matches std::min_element tie-breaking).

@@ -222,6 +222,27 @@ std::size_t natural_frame_lanes(Isa isa) {
   return 4;
 }
 
+std::size_t frame_vector_lanes(Isa isa, FrameMetric metric) {
+  if (isa == Isa::Scalar) return 1;
+  const std::size_t int32_lanes = natural_frame_lanes(isa);
+  // A double takes two int32 slots of the same register.
+  return metric == FrameMetric::Int32 ? int32_lanes : int32_lanes / 2;
+}
+
+Isa frame_kernel_isa(FrameMetric metric, std::size_t lanes, Isa ceiling) {
+  for (auto tier = static_cast<int>(ceiling); tier > 0; --tier) {
+    const auto isa = static_cast<Isa>(tier);
+    if (isa_available(isa) && frame_vector_lanes(isa, metric) <= lanes) {
+      return isa;
+    }
+  }
+  return Isa::Scalar;
+}
+
+Isa frame_kernel_isa(FrameMetric metric, std::size_t lanes) {
+  return frame_kernel_isa(metric, lanes, dispatched_isa());
+}
+
 ViterbiAcsFn viterbi_acs() {
   return dispatch().viterbi.load(std::memory_order_relaxed);
 }

@@ -95,8 +95,11 @@ const dsp::DesignedFilter& IirMetaCore::designed(dsp::FilterFamily family,
   const int frac_key = static_cast<int>(std::lround(ripple_fraction * 100));
   const auto key =
       std::make_tuple(static_cast<int>(family), frac_key, extra_order);
-  auto it = design_cache_.find(key);
-  if (it != design_cache_.end()) return it->second;
+  {
+    std::lock_guard<std::mutex> lock(design_mutex_);
+    const auto it = design_cache_.find(key);
+    if (it != design_cache_.end()) return it->second;
+  }
 
   dsp::FilterSpec spec = requirements_.filter;
   spec.family = family;
@@ -110,6 +113,9 @@ const dsp::DesignedFilter& IirMetaCore::designed(dsp::FilterFamily family,
     spec.order_override = base.prototype_order + extra_order;
     base = dsp::design_filter(spec);
   }
+  // Another thread may have designed the same filter meanwhile; the
+  // designs are identical and the first one stays.
+  std::lock_guard<std::mutex> lock(design_mutex_);
   return design_cache_.emplace(key, std::move(base)).first->second;
 }
 

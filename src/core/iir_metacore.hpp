@@ -7,6 +7,7 @@
 #pragma once
 
 #include <map>
+#include <mutex>
 #include <string>
 
 #include "dsp/design.hpp"
@@ -69,6 +70,10 @@ class IirMetaCore {
                                       int extra_order) const;
 
   IirRequirements requirements_;
+  /// Guards design_cache_: a search evaluates points on several pool
+  /// threads at once. Entries are never erased, so a returned reference
+  /// stays valid after the lock is released.
+  mutable std::mutex design_mutex_;
   mutable std::map<std::tuple<int, int, int>, dsp::DesignedFilter>
       design_cache_;
 };

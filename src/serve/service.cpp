@@ -4,6 +4,7 @@
 #include <condition_variable>
 #include <exception>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -598,9 +599,20 @@ std::string DesignService::stats_json() const {
 
 std::size_t DesignService::archive_size(const DesignQuery& query) const {
   const std::string fingerprint = query_fingerprint(query);
+  // The population answer_from_archive merges: distinct grid points over
+  // the store's entries for the scope and the in-memory archive.
+  std::set<std::vector<int>> points;
+  if (store_) {
+    for (auto& [indices, fidelity, eval] : store_->entries_for(fingerprint)) {
+      points.insert(std::move(indices));
+    }
+  }
   std::shared_lock<std::shared_mutex> lock(archive_mutex_);
   auto it = archives_.find(fingerprint);
-  return it == archives_.end() ? 0 : it->second.size();
+  if (it != archives_.end()) {
+    for (const auto& [indices, pt] : it->second) points.insert(indices);
+  }
+  return points.size();
 }
 
 DesignResponse DesignService::run_query(const DesignQuery& query) {
@@ -777,6 +789,13 @@ void DesignService::absorb_history(
   auto& archive = archives_[fingerprint];
   bool changed = false;
   for (const search::EvaluatedPoint& pt : history) {
+    // A point the store holds reaches archive answers through
+    // entries_for; keeping a second copy here would only grow memory.
+    // Store appends advance the store generation, so the cache-validity
+    // stamp still moves whenever the merged population does.
+    if (store_ && store_->contains(fingerprint, pt.indices, pt.fidelity)) {
+      continue;
+    }
     auto [it, inserted] = archive.emplace(pt.indices, pt);
     if (inserted) {
       changed = true;

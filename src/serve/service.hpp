@@ -15,7 +15,8 @@
 //  * Every completed search feeds a per-evaluator Pareto archive;
 //    constraint-only queries (DesignQuery::archive_only) are answered
 //    directly from it — chosen point, metrics, and the front slice —
-//    without launching a search.
+//    without launching a search. With a store attached, the archive
+//    keeps only points the store does not hold; answers merge the two.
 //  * With a persistent store attached, repeat queries (same evaluator
 //    fingerprint) are served with near-zero evaluator calls: the search
 //    replays its trajectory out of the store.
@@ -217,7 +218,9 @@ class DesignService {
   /// The attached store (nullptr when running without persistence).
   std::shared_ptr<EvaluationStore> store() const { return store_; }
 
-  /// Distinct evaluated points archived for the query's evaluator scope.
+  /// Distinct evaluated points an archive answer for the query's
+  /// evaluator scope draws on: the store's entries plus the in-memory
+  /// archive.
   std::size_t archive_size(const DesignQuery& query) const;
 
  private:
@@ -257,7 +260,8 @@ class DesignService {
   ServiceStats stats_;
 
   /// Per-evaluator-fingerprint archives: every distinct point any search
-  /// evaluated, highest fidelity per point, keyed by grid indices.
+  /// evaluated that the attached store does not hold (all of them without
+  /// a store), highest fidelity per point, keyed by grid indices.
   mutable std::shared_mutex archive_mutex_;
   std::map<std::string, std::map<std::vector<int>, search::EvaluatedPoint>>
       archives_;

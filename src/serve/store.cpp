@@ -3,10 +3,14 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <compare>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <mutex>
+#include <set>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -24,8 +28,6 @@ constexpr int kLegacyStoreVersion = 1;
 constexpr std::size_t kMaxSkipReasons = 100;
 constexpr std::size_t kMaxShards = 256;
 
-using Key = std::tuple<std::string, std::vector<int>, int>;
-
 void note_skip(StoreStats& stats, std::string reason) {
   ++stats.skipped_records;
   if (stats.skip_reasons.size() < kMaxSkipReasons) {
@@ -39,23 +41,159 @@ bool bits_equal(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
+/// A sorted metric-name list, shared by every record that reports exactly
+/// these names (most of one evaluator's evaluations do).
+using MetricNames = std::vector<std::string>;
+
+/// The process-wide interned copy of `metrics`' name list. Lists live for
+/// the process (one per distinct name set ever stored), so a record holds
+/// a plain pointer and two records share a list iff their names match.
+const MetricNames* intern_metric_names(
+    const std::map<std::string, double>& metrics) {
+  const auto same_names = [&metrics](const MetricNames& names) {
+    return names.size() == metrics.size() &&
+           std::equal(names.begin(), names.end(), metrics.begin(),
+                      [](const std::string& name, const auto& metric) {
+                        return name == metric.first;
+                      });
+  };
+  // Fast path: consecutive records almost always share their names.
+  thread_local const MetricNames* last = nullptr;
+  if (last != nullptr && same_names(*last)) return last;
+
+  MetricNames names;
+  names.reserve(metrics.size());
+  for (const auto& [name, value] : metrics) names.push_back(name);
+  static std::mutex mutex;
+  static auto* interned = new std::set<MetricNames>;  // never freed
+  std::lock_guard<std::mutex> lock(mutex);
+  last = &*interned->insert(std::move(names)).first;
+  return last;
+}
+
+/// One stored evaluation, packed: the metric values in name order next to
+/// a pointer to their interned names, instead of a std::map node per
+/// metric. Bit-exact: unpack(pack(e)) reproduces every field of e.
+struct PackedEval {
+  const MetricNames* names = nullptr;
+  std::vector<double> values;  ///< values[i] is metric (*names)[i]
+  std::string failure_reason;
+  double confidence_weight = 1.0;
+  bool feasible = true;
+};
+
+PackedEval pack(const search::Evaluation& eval) {
+  PackedEval packed;
+  packed.names = intern_metric_names(eval.metrics);
+  packed.values.reserve(eval.metrics.size());
+  for (const auto& [name, value] : eval.metrics) packed.values.push_back(value);
+  packed.failure_reason = eval.failure_reason;
+  packed.confidence_weight = eval.confidence_weight;
+  packed.feasible = eval.feasible;
+  return packed;
+}
+
+search::Evaluation unpack(const PackedEval& packed) {
+  search::Evaluation eval;
+  eval.feasible = packed.feasible;
+  for (std::size_t i = 0; i < packed.values.size(); ++i) {
+    eval.metrics.emplace_hint(eval.metrics.end(), (*packed.names)[i],
+                              packed.values[i]);
+  }
+  eval.confidence_weight = packed.confidence_weight;
+  eval.failure_reason = packed.failure_reason;
+  return eval;
+}
+
 /// Bit-exact evaluation identity: the "duplicates are identical by
 /// construction" invariant, checked instead of assumed.
-bool eval_equal(const search::Evaluation& a, const search::Evaluation& b) {
-  if (a.feasible != b.feasible || a.failure_reason != b.failure_reason ||
-      !bits_equal(a.confidence_weight, b.confidence_weight) ||
-      a.metrics.size() != b.metrics.size()) {
-    return false;
-  }
-  auto ita = a.metrics.begin();
-  auto itb = b.metrics.begin();
-  for (; ita != a.metrics.end(); ++ita, ++itb) {
-    if (ita->first != itb->first || !bits_equal(ita->second, itb->second)) {
-      return false;
-    }
-  }
-  return true;
+bool eval_equal(const PackedEval& a, const PackedEval& b) {
+  return a.feasible == b.feasible && a.failure_reason == b.failure_reason &&
+         bits_equal(a.confidence_weight, b.confidence_weight) &&
+         a.names == b.names &&
+         std::equal(a.values.begin(), a.values.end(), b.values.begin(),
+                    b.values.end(), bits_equal);
 }
+
+/// A record's key inside its evaluator scope.
+struct PointKey {
+  std::vector<int> indices;
+  int fidelity = 0;
+};
+
+/// A borrowed PointKey, for lookups that must not copy the indices.
+struct PointRef {
+  std::span<const int> indices;
+  int fidelity = 0;
+};
+
+/// Indices lexicographically, then fidelity: the order of the historical
+/// (fingerprint, indices, fidelity) tuple key within one fingerprint.
+/// Transparent, so a PointRef finds a PointKey.
+struct PointLess {
+  using is_transparent = void;
+
+  static PointRef ref(const PointKey& key) {
+    return {key.indices, key.fidelity};
+  }
+  static PointRef ref(PointRef key) { return key; }
+
+  template <typename A, typename B>
+  bool operator()(const A& a, const B& b) const {
+    const PointRef x = ref(a);
+    const PointRef y = ref(b);
+    const auto order = std::lexicographical_compare_three_way(
+        x.indices.begin(), x.indices.end(), y.indices.begin(),
+        y.indices.end());
+    return order != 0 ? order < 0 : x.fidelity < y.fidelity;
+  }
+};
+
+using Scope = std::map<PointKey, PackedEval, PointLess>;
+
+/// Records in memory: evaluator fingerprint (held once per scope) ->
+/// (indices, fidelity) -> packed evaluation. Iteration visits keys in the
+/// historical (fingerprint, indices, fidelity) order, so snapshots keep
+/// their bytes.
+struct EntryTable {
+  std::map<std::string, Scope, std::less<>> scopes;
+  std::size_t size = 0;  ///< records over all scopes
+
+  const Scope* scope(std::string_view fingerprint) const {
+    const auto it = scopes.find(fingerprint);
+    return it == scopes.end() ? nullptr : &it->second;
+  }
+
+  const PackedEval* find(std::string_view fingerprint,
+                         std::span<const int> indices, int fidelity) const {
+    const Scope* points = scope(fingerprint);
+    if (points == nullptr) return nullptr;
+    const auto it = points->find(PointRef{indices, fidelity});
+    return it == points->end() ? nullptr : &it->second;
+  }
+
+  /// The record under the key and whether this call created it (empty,
+  /// for the caller to fill) because the key was not held yet.
+  std::pair<PackedEval*, bool> slot(std::string_view fingerprint,
+                                    std::span<const int> indices,
+                                    int fidelity) {
+    auto scope_it = scopes.find(fingerprint);
+    if (scope_it == scopes.end()) {
+      scope_it = scopes.emplace(std::string(fingerprint), Scope{}).first;
+    }
+    Scope& points = scope_it->second;
+    const PointRef key{indices, fidelity};
+    auto it = points.lower_bound(key);
+    if (it != points.end() && !PointLess{}(key, it->first)) {
+      return {&it->second, false};
+    }
+    it = points.emplace_hint(
+        it, PointKey{{indices.begin(), indices.end()}, fidelity},
+        PackedEval{});
+    ++size;
+    return {&it->second, true};
+  }
+};
 
 std::size_t file_size_of(const std::string& path) {
   std::error_code ec;
@@ -63,14 +201,16 @@ std::size_t file_size_of(const std::string& path) {
   return ec ? 0 : static_cast<std::size_t>(size);
 }
 
-std::string payload_for(const Key& key, const search::Evaluation& eval) {
+std::string payload_for(const std::string& fingerprint,
+                        const std::vector<int>& indices, int fidelity,
+                        const search::Evaluation& eval) {
   robust::CheckpointRecord rec;
-  rec.indices = std::get<1>(key);
-  rec.fidelity = std::get<2>(key);
+  rec.indices = indices;
+  rec.fidelity = fidelity;
   rec.eval = eval;
   std::ostringstream os;
   os << "{\"fingerprint\":";
-  robust::write_escaped(os, std::get<0>(key));
+  robust::write_escaped(os, fingerprint);
   os << ",\"record\":";
   robust::write_eval_record(os, rec);
   os << "}";
@@ -80,22 +220,24 @@ std::string payload_for(const Key& key, const search::Evaluation& eval) {
 /// One journal file replayed into memory: entries, load accounting, and
 /// what the load decided about the file's future.
 struct FileLoad {
-  std::map<Key, search::Evaluation> entries;
+  EntryTable entries;
   StoreStats stats;          // journal_records / duplicates / skips / tail
   bool fresh_start = false;  ///< the file starts empty (absent or header-torn)
   bool legacy = false;       ///< v1 JSONL; must be rewritten framed
 };
 
-void merge_record(FileLoad& load, std::string fingerprint,
-                  robust::CheckpointRecord rec) {
+void merge_record(FileLoad& load, const std::string& fingerprint,
+                  const robust::CheckpointRecord& rec) {
   ++load.stats.journal_records;
-  Key key{std::move(fingerprint), rec.indices, rec.fidelity};
-  auto [it, inserted] = load.entries.emplace(std::move(key), rec.eval);
-  if (!inserted) {
-    ++load.stats.duplicate_records;
-    if (!eval_equal(it->second, rec.eval)) {
-      ++load.stats.divergent_duplicates;
-    }
+  auto [entry, inserted] =
+      load.entries.slot(fingerprint, rec.indices, rec.fidelity);
+  if (inserted) {
+    *entry = pack(rec.eval);
+    return;
+  }
+  ++load.stats.duplicate_records;
+  if (!eval_equal(*entry, pack(rec.eval))) {
+    ++load.stats.divergent_duplicates;
   }
 }
 
@@ -138,7 +280,7 @@ void load_framed(FileLoad& load, const std::string& path,
                                 e.what());
       continue;
     }
-    merge_record(load, std::move(fingerprint), std::move(rec));
+    merge_record(load, fingerprint, rec);
   }
 }
 
@@ -203,7 +345,7 @@ void load_legacy(FileLoad& load, const std::string& path,
         robust::require(entry, "record", robust::JsonValue::Type::Object,
                         kWhat),
         kWhat);
-    merge_record(load, std::move(fingerprint), std::move(rec));
+    merge_record(load, fingerprint, rec);
   }
   if (tail_bytes > 0) {
     load.stats.recovered_bytes = tail_bytes;
@@ -245,11 +387,14 @@ FileLoad load_journal_file(const std::string& path) {
   return load;
 }
 
-std::string snapshot_text(const std::map<Key, search::Evaluation>& entries) {
+std::string snapshot_text(const EntryTable& entries) {
   std::string text = robust::journal_header_line(
       robust::JournalHeader{kKind, kStoreVersion});
-  for (const auto& [key, eval] : entries) {
-    text += robust::frame_record(payload_for(key, eval));
+  for (const auto& [fingerprint, points] : entries.scopes) {
+    for (const auto& [key, packed] : points) {
+      text += robust::frame_record(
+          payload_for(fingerprint, key.indices, key.fidelity, unpack(packed)));
+    }
   }
   return text;
 }
@@ -311,7 +456,7 @@ StoreConfig StoreConfig::from_env() {
 struct EvaluationStore::Shard {
   std::string path;
   mutable std::shared_mutex mutex;
-  std::map<Key, search::Evaluation> entries;
+  EntryTable entries;
   std::unique_ptr<robust::JournalWriter> writer;
   bool fresh_start = false;    ///< load decided the file starts empty
   bool needs_rewrite = false;  ///< load found damage/migration/dead bloat
@@ -363,12 +508,12 @@ std::string EvaluationStore::shard_path(std::size_t shard) const {
 }
 
 EvaluationStore::Shard& EvaluationStore::shard_for(
-    const std::string& fingerprint) {
+    std::string_view fingerprint) {
   return *shards_[shard_index(fingerprint, shards_.size())];
 }
 
 const EvaluationStore::Shard& EvaluationStore::shard_for(
-    const std::string& fingerprint) const {
+    std::string_view fingerprint) const {
   return *shards_[shard_index(fingerprint, shards_.size())];
 }
 
@@ -454,7 +599,7 @@ void EvaluationStore::load_shard_in_place(Shard& shard) {
 
   shard.entries = std::move(load.entries);
   shard.stats = std::move(load.stats);
-  shard.stats.live_entries = shard.entries.size();
+  shard.stats.live_entries = shard.entries.size;
   shard.fresh_start = load.fresh_start;
 
   // Recovery rewrites (damage, crash tails, legacy migration) are
@@ -464,7 +609,7 @@ void EvaluationStore::load_shard_in_place(Shard& shard) {
   // restart.
   const std::size_t dead =
       shard.stats.duplicate_records + shard.stats.skipped_records;
-  const std::size_t total = dead + shard.entries.size();
+  const std::size_t total = dead + shard.entries.size;
   if (shard.stats.skipped_records > 0 || shard.stats.recovered_bytes > 0 ||
       load.legacy) {
     shard.needs_rewrite = true;
@@ -488,7 +633,7 @@ void EvaluationStore::migrate_layout(const std::vector<std::string>& sources) {
   // Merge every source journal in deterministic order (single file first,
   // then shards by index), first write winning — same-key records are
   // bit-identical by construction, and any that are not are counted.
-  std::map<Key, search::Evaluation> merged;
+  EntryTable merged;
   for (const std::string& source : sources) {
     std::remove((source + ".tmp").c_str());
     FileLoad load;
@@ -514,12 +659,17 @@ void EvaluationStore::migrate_layout(const std::vector<std::string>& sources) {
         base_stats_.skip_reasons.push_back(std::move(reason));
       }
     }
-    for (auto& [key, eval] : load.entries) {
-      auto [it, inserted] = merged.emplace(key, std::move(eval));
-      if (!inserted) {
-        ++base_stats_.duplicate_records;
-        if (!eval_equal(it->second, eval)) {
-          ++base_stats_.divergent_duplicates;
+    for (auto& [fingerprint, points] : load.entries.scopes) {
+      for (auto& [key, packed] : points) {
+        auto [entry, inserted] =
+            merged.slot(fingerprint, key.indices, key.fidelity);
+        if (inserted) {
+          *entry = std::move(packed);
+        } else {
+          ++base_stats_.duplicate_records;
+          if (!eval_equal(*entry, packed)) {
+            ++base_stats_.divergent_duplicates;
+          }
         }
       }
     }
@@ -529,15 +679,16 @@ void EvaluationStore::migrate_layout(const std::vector<std::string>& sources) {
   // A crash anywhere in here leaves a superset of journals on disk; the
   // next open merges again, so no completed evaluation is ever lost.
   if (config_.shards > 1) fs::create_directories(path_ + ".d");
-  for (auto& [key, eval] : merged) {
-    Shard& shard = shard_for(std::get<0>(key));
-    shard.entries.emplace(std::move(key), std::move(eval));
+  for (auto& [fingerprint, points] : merged.scopes) {
+    EntryTable& entries = shard_for(fingerprint).entries;
+    entries.size += points.size();
+    entries.scopes.emplace(fingerprint, std::move(points));
   }
   for (auto& shard : shards_) {
     robust::atomic_replace_file(shard->path, snapshot_text(shard->entries),
                                 config_.durability, "store.compact", kWhat);
     shard->open_writer(config_, false);
-    shard->stats.live_entries = shard->entries.size();
+    shard->stats.live_entries = shard->entries.size;
     shard->generation.fetch_add(1, std::memory_order_relaxed);
   }
 
@@ -604,13 +755,21 @@ std::optional<search::Evaluation> EvaluationStore::lookup(
     int fidelity) {
   const Shard& shard = shard_for(fingerprint);
   std::shared_lock lock(shard.mutex);
-  const auto it = shard.entries.find(Key{fingerprint, indices, fidelity});
-  if (it == shard.entries.end()) {
+  const PackedEval* entry = shard.entries.find(fingerprint, indices, fidelity);
+  if (entry == nullptr) {
     shard.misses.fetch_add(1, std::memory_order_relaxed);
     return std::nullopt;
   }
   shard.hits.fetch_add(1, std::memory_order_relaxed);
-  return it->second;
+  return unpack(*entry);
+}
+
+bool EvaluationStore::contains(std::string_view fingerprint,
+                               const std::vector<int>& indices,
+                               int fidelity) const {
+  const Shard& shard = shard_for(fingerprint);
+  std::shared_lock lock(shard.mutex);
+  return shard.entries.find(fingerprint, indices, fidelity) != nullptr;
 }
 
 void EvaluationStore::record(const std::string& fingerprint,
@@ -624,16 +783,16 @@ void EvaluationStore::record(const std::string& fingerprint,
     shard.contention.fetch_add(1, std::memory_order_relaxed);
     lock.lock();
   }
-  Key key{fingerprint, indices, fidelity};
-  auto [it, inserted] = shard.entries.emplace(key, eval);
+  auto [entry, inserted] = shard.entries.slot(fingerprint, indices, fidelity);
   if (!inserted) {
     // First write wins; a duplicate that is NOT bit-identical is a
     // determinism regression upstream — count it instead of masking it.
-    if (!eval_equal(it->second, eval)) {
+    if (!eval_equal(*entry, pack(eval))) {
       ++shard.stats.divergent_duplicates;
     }
     return;
   }
+  *entry = pack(eval);
   ++shard.stats.live_entries;
   shard.generation.fetch_add(1, std::memory_order_relaxed);
   if (shard.degraded || !shard.writer) {
@@ -641,7 +800,7 @@ void EvaluationStore::record(const std::string& fingerprint,
     return;
   }
   try {
-    shard.writer->append(payload_for(key, eval));
+    shard.writer->append(payload_for(fingerprint, indices, fidelity, eval));
   } catch (const robust::JournalIoError&) {
     // Terminal append failure (the retries are inside the writer): flip
     // this shard to degraded read-only mode. The entry stays in memory so
@@ -670,7 +829,7 @@ std::size_t EvaluationStore::size() const {
   std::size_t total = 0;
   for (const auto& shard : shards_) {
     std::shared_lock lock(shard->mutex);
-    total += shard->entries.size();
+    total += shard->entries.size;
   }
   return total;
 }
@@ -680,12 +839,11 @@ EvaluationStore::entries_for(const std::string& fingerprint) const {
   const Shard& shard = shard_for(fingerprint);
   std::shared_lock lock(shard.mutex);
   std::vector<std::tuple<std::vector<int>, int, search::Evaluation>> out;
-  // Keys sort by fingerprint first, so the scope is one contiguous range.
-  for (auto it = shard.entries.lower_bound(Key{fingerprint, {}, 0});
-       it != shard.entries.end() && std::get<0>(it->first) == fingerprint;
-       ++it) {
-    out.emplace_back(std::get<1>(it->first), std::get<2>(it->first),
-                     it->second);
+  const Scope* points = shard.entries.scope(fingerprint);
+  if (points == nullptr) return out;
+  out.reserve(points->size());
+  for (const auto& [key, packed] : *points) {
+    out.emplace_back(key.indices, key.fidelity, unpack(packed));
   }
   return out;
 }
@@ -715,7 +873,7 @@ StoreStats EvaluationStore::stats() const {
   for (const auto& shard : shards_) {
     std::shared_lock lock(shard->mutex);
     const StoreStats& ss = shard->stats;
-    out.live_entries += shard->entries.size();
+    out.live_entries += shard->entries.size;
     out.journal_records += ss.journal_records;
     out.duplicate_records += ss.duplicate_records;
     out.skipped_records += ss.skipped_records;
@@ -737,7 +895,7 @@ StoreStats EvaluationStore::stats() const {
     out.hits += shard->hits.load(std::memory_order_relaxed);
     out.misses += shard->misses.load(std::memory_order_relaxed);
     out.lock_contention += shard->contention.load(std::memory_order_relaxed);
-    out.shard_entries.push_back(shard->entries.size());
+    out.shard_entries.push_back(shard->entries.size);
     out.shard_bytes.push_back(file_size_of(shard->path));
   }
   return out;

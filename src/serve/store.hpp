@@ -64,7 +64,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <atomic>
-#include <map>
 #include <memory>
 #include <optional>
 #include <shared_mutex>
@@ -172,6 +171,11 @@ class EvaluationStore final : public search::EvaluationStoreBase {
                                            const std::vector<int>& indices,
                                            int fidelity) override;
 
+  /// True when the key is held. Thread-safe like lookup(), but neither
+  /// copies the evaluation nor counts as a hit or miss.
+  bool contains(std::string_view fingerprint, const std::vector<int>& indices,
+                int fidelity) const;
+
   /// Thread-safe; writers are serialized per shard (distinct fingerprints
   /// usually append concurrently). A key already present is left untouched
   /// (first write wins); a duplicate whose evaluation *differs* bumps
@@ -220,11 +224,10 @@ class EvaluationStore final : public search::EvaluationStoreBase {
   std::string shard_path(std::size_t shard) const;
 
  private:
-  using Key = std::tuple<std::string, std::vector<int>, int>;
   struct Shard;
 
-  Shard& shard_for(const std::string& fingerprint);
-  const Shard& shard_for(const std::string& fingerprint) const;
+  Shard& shard_for(std::string_view fingerprint);
+  const Shard& shard_for(std::string_view fingerprint) const;
   void open_layout();
   void load_shard_in_place(Shard& shard);
   void migrate_layout(const std::vector<std::string>& sources);

@@ -439,6 +439,94 @@ TEST(FrameBerGolden, GoldenValuesHoldAtEveryThreadAndLaneCount) {
   }
 }
 
+// measure_ber called from inside pool work (a search evaluating its grid
+// in parallel) runs nested: its own parallel_for is inline, so it puts
+// every shard up to the lane cap into one lane group. The goldens must hold
+// on that path too, at every tier, thread count, and lane cap — including
+// caps that are not a multiple of any vector width.
+TEST(FrameBerGolden, GoldenValuesHoldWhenCalledFromPoolWork) {
+  ThreadGuard thread_guard;
+  IsaGuard isa_guard;
+  const DecoderSpec hard5 = make_spec(DecoderKind::Hard, 5);
+  const DecoderSpec multires3 = make_spec(DecoderKind::Multires, 3);
+  const std::vector<int> lane_caps = {0, 1, 3, 4, 5, 12, 16, 20};
+
+  for (const auto isa : available_isas()) {
+    simd::force_isa(isa);
+    for (const int threads : {1, 2, 4, 8}) {
+      exec::ThreadPool::set_global_threads(static_cast<std::size_t>(threads));
+      // One work item per (lane cap, decoder): both decoders at every cap.
+      std::vector<BerPoint> points(2 * lane_caps.size());
+      std::vector<char> nested(points.size(), 0);
+      exec::parallel_for(points.size(), [&](std::size_t i) {
+        BerRunConfig cfg;
+        cfg.max_bits = 20'000;
+        cfg.min_bits = 10'000;
+        cfg.max_errors = 2'000;
+        cfg.shards = 8;
+        cfg.lanes = lane_caps[i / 2];
+        nested[i] = exec::ThreadPool::on_worker_thread() ||
+                    exec::ThreadPool::global().size() == 1;
+        points[i] = measure_ber(i % 2 == 0 ? hard5 : multires3, 2.0, cfg);
+      });
+      for (std::size_t i = 0; i < points.size(); ++i) {
+        const std::string label = simd::to_string(isa) +
+                                  " threads=" + std::to_string(threads) +
+                                  " lanes=" + std::to_string(lane_caps[i / 2]);
+        EXPECT_TRUE(nested[i]) << label;
+        EXPECT_EQ(points[i].errors.successes, i % 2 == 0 ? 31ull : 24ull)
+            << label;
+        EXPECT_EQ(points[i].errors.trials, 20'000ull) << label;
+      }
+    }
+  }
+}
+
+// Lane-group policy: Viterbi groups fill the threads but never drop below
+// one vector of the ACS kernel (4 lanes on SSE4.2 and up), except under
+// the scalar tier or a lane cap below a vector; multires groups only fill
+// the threads. The goldens hold at top level on every tier.
+TEST(MeasureBerGrouping, ViterbiGroupsAreNeverNarrowerThanOneVector) {
+  ThreadGuard thread_guard;
+  IsaGuard isa_guard;
+  const DecoderSpec hard5 = make_spec(DecoderKind::Hard, 5);
+  const DecoderSpec soft7 = make_spec(DecoderKind::Soft, 7);
+  const DecoderSpec multires5 = make_spec(DecoderKind::Multires, 5);
+
+  for (const auto isa : available_isas()) {
+    simd::force_isa(isa);
+    const bool vector = isa != simd::Isa::Scalar;
+    const std::string label = simd::to_string(isa);
+    for (const DecoderSpec* spec : {&hard5, &soft7}) {
+      // shards, lane cap, pool threads -> shards per group
+      EXPECT_EQ(ber_lane_group_size(*spec, 4, 16, 4), vector ? 4u : 1u)
+          << label;
+      EXPECT_EQ(ber_lane_group_size(*spec, 8, 16, 4), vector ? 4u : 2u)
+          << label;
+      EXPECT_EQ(ber_lane_group_size(*spec, 5, 16, 4), vector ? 4u : 2u)
+          << label;
+      EXPECT_EQ(ber_lane_group_size(*spec, 64, 16, 4), 16u) << label;
+      EXPECT_EQ(ber_lane_group_size(*spec, 4, 16, 1), 4u) << label;
+      EXPECT_EQ(ber_lane_group_size(*spec, 2, 16, 4), 1u) << label;
+      EXPECT_EQ(ber_lane_group_size(*spec, 4, 3, 4), 1u) << label;
+      EXPECT_EQ(ber_lane_group_size(*spec, 4, 1, 4), 1u) << label;
+    }
+    EXPECT_EQ(ber_lane_group_size(multires5, 4, 16, 4), 1u) << label;
+    EXPECT_EQ(ber_lane_group_size(multires5, 8, 16, 4), 2u) << label;
+    EXPECT_EQ(ber_lane_group_size(multires5, 4, 16, 1), 4u) << label;
+
+    exec::ThreadPool::set_global_threads(4);
+    BerRunConfig cfg;
+    cfg.max_bits = 20'000;
+    cfg.min_bits = 10'000;
+    cfg.max_errors = 2'000;
+    cfg.shards = 8;
+    const auto hard = measure_ber(hard5, 2.0, cfg);
+    EXPECT_EQ(hard.errors.successes, 31ull) << label;
+    EXPECT_EQ(hard.errors.trials, 20'000ull) << label;
+  }
+}
+
 TEST(FrameBerGolden, DecisionStoppingIdenticalAcrossLaneCounts) {
   ThreadGuard thread_guard;
   exec::ThreadPool::set_global_threads(2);
@@ -466,7 +554,7 @@ TEST(FrameBerGolden, DecisionStoppingIdenticalAcrossLaneCounts) {
 }
 
 // ---------------------------------------------------------------------------
-// Frame-kernel dispatch accessors.
+// Frame-kernel dispatch accessors and width fitting.
 
 TEST(FrameKernelDispatch, AccessorsResolveOnEveryAvailableTier) {
   IsaGuard guard;
@@ -477,6 +565,82 @@ TEST(FrameKernelDispatch, AccessorsResolveOnEveryAvailableTier) {
     EXPECT_EQ(simd::frame_viterbi_acs(), simd::frame_viterbi_acs(isa));
     EXPECT_EQ(simd::frame_multires_acs(), simd::frame_multires_acs(isa));
     EXPECT_GE(simd::natural_frame_lanes(isa), 4u);
+  }
+}
+
+// Every (dispatched tier, lane count) pair runs the widest available tier
+// at or below the dispatched one whose vector fits the lanes: a 4-lane
+// decoder on AVX-512 runs SSE4.2 int32 and AVX2 double kernels instead of
+// the AVX-512 kernels' scalar tail, and never a tier above the dispatch.
+TEST(FrameDecoder, RunsTheWidestKernelTierThatFitsItsLanes) {
+  IsaGuard guard;
+  const Trellis trellis(best_rate_half_code(5));
+  const Quantizer quantizer(QuantizationMethod::AdaptiveSoft, 3, 1.0, 0.5);
+  const MultiresConfig config{25, 1, 3, QuantizationMethod::AdaptiveSoft, 4,
+                              1};
+  const auto widest_fitting = [](simd::FrameMetric metric, std::size_t lanes,
+                                 simd::Isa ceiling) {
+    simd::Isa best = simd::Isa::Scalar;
+    for (const auto isa : available_isas()) {
+      if (isa <= ceiling && simd::frame_vector_lanes(isa, metric) <= lanes) {
+        best = std::max(best, isa);
+      }
+    }
+    return best;
+  };
+
+  for (const auto dispatched : available_isas()) {
+    simd::force_isa(dispatched);
+    for (std::size_t lanes = 1; lanes <= 20; ++lanes) {
+      const std::string label =
+          simd::to_string(dispatched) + " lanes=" + std::to_string(lanes);
+      const FrameViterbiDecoder viterbi(trellis, 25, quantizer, lanes);
+      const FrameMultiresDecoder multires(trellis, config, 1.0, 0.5, lanes);
+      EXPECT_EQ(viterbi.kernel_isa(),
+                widest_fitting(simd::FrameMetric::Int32, lanes, dispatched))
+          << label;
+      EXPECT_EQ(multires.kernel_isa(),
+                widest_fitting(simd::FrameMetric::Double, lanes, dispatched))
+          << label;
+      EXPECT_LE(viterbi.kernel_isa(), dispatched) << label;
+      EXPECT_LE(multires.kernel_isa(), dispatched) << label;
+      EXPECT_EQ(viterbi.kernel_isa(),
+                simd::frame_kernel_isa(simd::FrameMetric::Int32, lanes))
+          << label;
+    }
+  }
+
+  // The vector widths the policy fits against.
+  EXPECT_EQ(simd::frame_vector_lanes(simd::Isa::Scalar,
+                                     simd::FrameMetric::Int32),
+            1u);
+  EXPECT_EQ(simd::frame_vector_lanes(simd::Isa::Avx512,
+                                     simd::FrameMetric::Int32),
+            16u);
+  EXPECT_EQ(simd::frame_vector_lanes(simd::Isa::Avx512,
+                                     simd::FrameMetric::Double),
+            8u);
+  EXPECT_EQ(simd::frame_vector_lanes(simd::Isa::Avx2,
+                                     simd::FrameMetric::Double),
+            4u);
+  EXPECT_EQ(simd::frame_vector_lanes(simd::Isa::Sse4,
+                                     simd::FrameMetric::Double),
+            2u);
+  if (simd::isa_available(simd::Isa::Avx512) &&
+      simd::isa_available(simd::Isa::Avx2) &&
+      simd::isa_available(simd::Isa::Sse4)) {
+    EXPECT_EQ(simd::frame_kernel_isa(simd::FrameMetric::Int32, 4,
+                                     simd::Isa::Avx512),
+              simd::Isa::Sse4);
+    EXPECT_EQ(simd::frame_kernel_isa(simd::FrameMetric::Double, 4,
+                                     simd::Isa::Avx512),
+              simd::Isa::Avx2);
+    EXPECT_EQ(simd::frame_kernel_isa(simd::FrameMetric::Int32, 20,
+                                     simd::Isa::Avx512),
+              simd::Isa::Avx512);
+    EXPECT_EQ(simd::frame_kernel_isa(simd::FrameMetric::Int32, 16,
+                                     simd::Isa::Avx2),
+              simd::Isa::Avx2);
   }
 }
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,6 +18,11 @@ namespace {
 std::string temp_store_path(const char* name) {
   const std::string path = testing::TempDir() + "/" + name;
   std::remove(path.c_str());
+  // Also clear a sharded layout (`path.d/`) left by a run under
+  // METACORE_STORE_SHARDS: opening the path would migrate it back in and
+  // the test would not start cold.
+  std::error_code ec;
+  std::filesystem::remove_all(path + ".d", ec);
   return path;
 }
 
@@ -221,6 +227,73 @@ TEST(DesignService, ArchiveAnswersConstraintOnlyQueriesWithoutSearching) {
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.searches_launched, 1u);
   EXPECT_EQ(stats.archive_answers, 2u);
+}
+
+// With a store attached, the in-memory archive keeps only points the store
+// does not hold and archive answers merge the two. That must not change a
+// byte of any archive answer:
+//  * IIR scopes: a store-backed service answers exactly like a store-less
+//    one (every evaluated point is in the search history, so both
+//    populations hold the same points).
+//  * Viterbi scopes: the final verification pass records its high-fidelity
+//    re-evaluations in the store but not in the search history, so a
+//    store-backed population is the store's and legitimately differs from
+//    a store-less one. The live store-backed service must answer exactly
+//    like a fresh service on the reopened store that never searched.
+TEST(DesignService, StoreBackedArchiveAnswersMatchStoreLessOnes) {
+  const std::string path = temp_store_path("service_archive.jsonl");
+
+  DesignQuery faster = small_viterbi_query();
+  faster.throughput_mbps = 2.0;
+  const std::vector<DesignQuery> searches = {small_viterbi_query(),
+                                             small_iir_query(), faster};
+  const auto archive_queries = [](const DesignQuery& searched) {
+    DesignQuery archive_query = searched;
+    archive_query.archive_only = true;
+    DesignQuery tightened = archive_query;
+    tightened.constraints.push_back(
+        {search::Constraint::Kind::UpperBound,
+         searched.kind == QueryKind::Iir ? "passband_ripple_db" : "ber",
+         searched.kind == QueryKind::Iir ? 0.5 : 5e-3});
+    return std::vector<DesignQuery>{archive_query, tightened};
+  };
+  const auto answers = [&](DesignService& service, QueryKind kind) {
+    std::vector<std::string> out;
+    for (const DesignQuery& searched : searches) {
+      if (searched.kind != kind) continue;
+      for (const DesignQuery& query : archive_queries(searched)) {
+        out.push_back(to_json(service.submit(query)));
+        out.push_back(std::to_string(service.archive_size(query)));
+      }
+    }
+    return out;
+  };
+
+  DesignService store_less;
+  for (const DesignQuery& query : searches) store_less.submit(query);
+  const std::vector<std::string> iir_reference =
+      answers(store_less, QueryKind::Iir);
+  ASSERT_EQ(iir_reference.size(), 4u);
+  EXPECT_NE(iir_reference[1], "0");
+
+  std::vector<std::string> viterbi_live;
+  {
+    ServiceConfig config;
+    config.store_path = path;
+    DesignService store_backed(config);
+    for (const DesignQuery& query : searches) store_backed.submit(query);
+    EXPECT_EQ(answers(store_backed, QueryKind::Iir), iir_reference);
+    viterbi_live = answers(store_backed, QueryKind::Viterbi);
+  }
+  ASSERT_EQ(viterbi_live.size(), 8u);
+  EXPECT_NE(viterbi_live[1], "0");
+  ServiceConfig config;
+  config.store_path = path;
+  DesignService reopened(config);
+  EXPECT_EQ(answers(reopened, QueryKind::Iir), iir_reference);
+  EXPECT_EQ(answers(reopened, QueryKind::Viterbi), viterbi_live);
+  EXPECT_EQ(reopened.stats().searches_launched, 0u);
+  temp_store_path("service_archive.jsonl");
 }
 
 TEST(DesignService, ArchiveAnswerOnEmptyServiceReportsNoData) {

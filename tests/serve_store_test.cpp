@@ -6,7 +6,10 @@
 // cold-search/warm-search equivalence the design-query service builds on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -16,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/iir_metacore.hpp"
 #include "search/multires_search.hpp"
 #include "serve/store.hpp"
 
@@ -126,6 +130,120 @@ TEST(EvaluationStore, RoundTripsEvaluationsBitExactly) {
   const auto stats = reopened.stats();
   EXPECT_EQ(stats.hits, 2u);
   EXPECT_EQ(stats.misses, 3u);
+  std::remove(path.c_str());
+}
+
+/// Field-by-field bit identity, doubles compared by bit pattern (so -0.0
+/// and denormals count).
+void expect_bit_identical(const search::Evaluation& got,
+                          const search::Evaluation& want,
+                          const std::string& label) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  EXPECT_EQ(got.feasible, want.feasible) << label;
+  EXPECT_EQ(got.failure_reason, want.failure_reason) << label;
+  EXPECT_EQ(bits(got.confidence_weight), bits(want.confidence_weight))
+      << label;
+  ASSERT_EQ(got.metrics.size(), want.metrics.size()) << label;
+  auto a = got.metrics.begin();
+  auto b = want.metrics.begin();
+  for (; a != got.metrics.end(); ++a, ++b) {
+    EXPECT_EQ(a->first, b->first) << label;
+    EXPECT_EQ(bits(a->second), bits(b->second)) << label << " " << a->first;
+  }
+}
+
+// Records are held packed in memory (metric values next to a shared,
+// interned name list). Real IIR evaluations — a different metric-name set
+// from the Viterbi-style ones stored beside them — plus a guarded failure
+// must come back bit-exactly from the in-memory record, from journal
+// replay, and from a compaction snapshot.
+TEST(EvaluationStore, PackedRecordsRoundTripIirEvaluationsBitExactly) {
+  const std::string path = temp_store_path("packed.journal");
+  const core::IirMetaCore iir(core::paper_bandpass_requirements(1.0));
+  const search::DesignSpace space = iir.design_space();
+  const search::EvaluateFn evaluate = iir.evaluator();
+
+  struct Entry {
+    std::string fingerprint;
+    std::vector<int> indices;
+    int fidelity;
+    search::Evaluation eval;
+  };
+  std::vector<Entry> entries;
+  const std::string iir_fp = iir.evaluation_fingerprint();
+  for (const std::vector<int>& indices :
+       {std::vector<int>{5, 0, 10, 0, 0}, std::vector<int>{5, 1, 10, 1, 0},
+        std::vector<int>{0, 0, 10, 0, 0}, std::vector<int>{5, 0, 0, 0, 0}}) {
+    for (const int fidelity : {0, 1}) {
+      entries.push_back({iir_fp, indices, fidelity,
+                         evaluate(space.values_at(indices), fidelity)});
+    }
+  }
+  // The first point is a feasible design, so it carries every IIR metric.
+  ASSERT_TRUE(entries.front().eval.has_metric("passband_ripple_db"));
+  ASSERT_TRUE(entries.front().eval.has_metric("area_mm2"));
+  search::Evaluation failed = entries.front().eval;
+  failed.feasible = false;
+  failed.failure_reason = "non-convergence: schedule_block: \"quoted\"\n";
+  failed.confidence_weight = 3.0517578125e-05;
+  failed.metrics["stable"] = -0.0;
+  failed.metrics["registers"] = 4.9406564584124654e-324;
+  failed.metrics["latency_us"] = std::numeric_limits<double>::infinity();
+  entries.push_back({iir_fp, {1, 2}, 3, failed});
+  entries.push_back({"fp-viterbi", {0, 4}, 1, sample_eval(1.25)});
+  entries.push_back({"fp-viterbi", {0, 4}, 0, sample_eval(0.1 + 0.7)});
+
+  const auto expect_all = [&](EvaluationStore& store, const char* stage) {
+    EXPECT_EQ(store.size(), entries.size()) << stage;
+    for (const Entry& e : entries) {
+      const auto got = store.lookup(e.fingerprint, e.indices, e.fidelity);
+      ASSERT_TRUE(got.has_value()) << stage;
+      expect_bit_identical(*got, e.eval, stage);
+      EXPECT_TRUE(store.contains(e.fingerprint, e.indices, e.fidelity));
+    }
+    for (const auto& [idx, fidelity, eval] : store.entries_for(iir_fp)) {
+      const auto it = std::find_if(
+          entries.begin(), entries.end(), [&](const Entry& e) {
+            return e.fingerprint == iir_fp && e.indices == idx &&
+                   e.fidelity == fidelity;
+          });
+      ASSERT_NE(it, entries.end()) << stage;
+      expect_bit_identical(eval, it->eval, stage);
+    }
+  };
+
+  std::string journal;
+  {
+    EvaluationStore store(path, single_file());
+    for (const Entry& e : entries) {
+      store.record(e.fingerprint, e.indices, e.fidelity, e.eval);
+    }
+    // A bit-identical re-record is a plain duplicate; one that differs
+    // only in the sign of a zero is divergent, and the first write stays.
+    store.record(iir_fp, {1, 2}, 3, failed);
+    EXPECT_EQ(store.divergent_duplicates(), 0u);
+    search::Evaluation positive_zero = failed;
+    positive_zero.metrics["stable"] = 0.0;
+    store.record(iir_fp, {1, 2}, 3, positive_zero);
+    EXPECT_EQ(store.divergent_duplicates(), 1u);
+    EXPECT_FALSE(store.contains(iir_fp, {1, 2}, 4));
+    expect_all(store, "in memory");
+    journal = read_file(path);
+  }
+  {
+    EvaluationStore replayed(path, single_file());
+    expect_all(replayed, "journal replay");
+    replayed.compact();
+    // The snapshot holds the same records in key order; it is a stable
+    // fixed point of compaction.
+    const std::string snapshot = read_file(path);
+    replayed.compact();
+    EXPECT_EQ(read_file(path), snapshot);
+    EXPECT_EQ(snapshot.size(), journal.size());
+  }
+  EvaluationStore compacted(path, single_file());
+  EXPECT_EQ(compacted.stats().journal_records, entries.size());
+  expect_all(compacted, "compaction snapshot");
   std::remove(path.c_str());
 }
 
