@@ -113,6 +113,7 @@ ServerConfig ServerConfig::from_env() {
 std::string to_json(const ServerStats& stats) {
   std::ostringstream os;
   os << "{\"accepted_connections\":" << stats.accepted_connections
+     << ",\"refused_connections\":" << stats.refused_connections
      << ",\"active_connections\":" << stats.active_connections
      << ",\"queries_received\":" << stats.queries_received
      << ",\"queries_served\":" << stats.queries_served
@@ -443,6 +444,8 @@ void DesignServer::accept_ready() {
     }
     if (connections_.size() >= config_.max_connections) {
       ::close(fd);
+      std::lock_guard<std::mutex> lock(stats_mutex_);
+      ++stats_.refused_connections;
       continue;
     }
     const int one = 1;

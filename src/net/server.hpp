@@ -82,7 +82,8 @@ struct ServerConfig {
   /// survives) and answered with a descriptive error.
   /// Env: METACORE_SERVER_MAX_FRAME.
   std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
-  /// Accepted-connection cap; excess accepts are closed immediately.
+  /// Accepted-connection cap; excess accepts are closed immediately and
+  /// counted in ServerStats::refused_connections.
   std::size_t max_connections = 1024;
   /// During drain, how long to wait for clients to read their final
   /// responses before force-closing.
@@ -109,6 +110,8 @@ struct ServerConfig {
 /// wire `stats` response carries both.
 struct ServerStats {
   std::size_t accepted_connections = 0;
+  /// Connections closed at accept because max_connections were open.
+  std::size_t refused_connections = 0;
   std::size_t active_connections = 0;
   std::size_t queries_received = 0;  ///< well-formed query frames
   std::size_t queries_served = 0;    ///< ok responses queued for write

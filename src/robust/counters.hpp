@@ -1,6 +1,6 @@
 // Failure accounting for the fault-tolerant evaluation layer (src/robust/):
-// a plain counter struct shared by GuardedEvaluator, SearchResult, the
-// search report, and checkpoints. Kept dependency-free so every layer can
+// a plain counter struct shared by GuardedEvaluator, SearchResult, and the
+// search report. Kept dependency-free so every layer can
 // pass it around by value.
 #pragma once
 

@@ -18,7 +18,8 @@ enum class EvalErrorKind {
   InjectedTransient,  ///< deliberately injected transient fault (tests/ablations)
 };
 
-/// Stable kebab-case names, used in failure reasons and checkpoints.
+/// Stable kebab-case names, used in failure reasons (which the evaluation
+/// store persists verbatim).
 const char* to_string(EvalErrorKind kind) noexcept;
 
 /// Only transient kinds are worth retrying: the engines are deterministic,

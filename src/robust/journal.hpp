@@ -1,6 +1,5 @@
-// Crash-consistent record journal: the shared persistence substrate under
-// both durable paths (the serve/ evaluation store and the search
-// checkpoints). A journal file is
+// Crash-consistent record journal: the persistence substrate under the
+// serve/ evaluation store. A journal file is
 //
 //   header line:  {"magic":"metacore-journal","version":1,
 //                  "kind":"<client>","kind_version":N}\n
@@ -38,7 +37,7 @@ namespace metacore::robust {
 
 /// Terminal I/O failure: the write/fsync/rename still failed after the
 /// bounded retry-with-backoff. Callers decide policy (the store degrades to
-/// read-only; checkpoint flushes propagate).
+/// read-only on a failed append; a failed compaction propagates).
 class JournalIoError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -79,8 +78,8 @@ std::string frame_record(std::string_view payload);
 bool looks_like_journal(std::string_view text);
 
 /// Append-oriented framed writer over a POSIX fd. Not internally
-/// synchronized: callers serialize appends (the store holds its writer
-/// mutex; searches flush checkpoints from one thread).
+/// synchronized: callers serialize appends (the store holds its shard's
+/// writer lock).
 class JournalWriter {
  public:
   /// `truncate` starts a fresh journal (writes the header); otherwise

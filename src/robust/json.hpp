@@ -1,6 +1,6 @@
-// Minimal JSON machinery shared by the persistence layers (search
-// checkpoints in robust/, the evaluation store and design-query service in
-// serve/): a recursive-descent reader covering objects, arrays, strings,
+// Minimal JSON machinery shared by the persistence and wire layers (the
+// evaluation store and design-query service in serve/, the query protocol
+// in net/): a recursive-descent reader covering objects, arrays, strings,
 // booleans, and numbers — including the bare non-finite tokens inf/-inf/nan,
 // a deliberate, documented superset of JSON our own writers emit — plus the
 // matching write helpers (escaped strings, round-trip doubles).
@@ -33,7 +33,7 @@ struct JsonValue {
 
 /// Parses one complete JSON document. Throws std::runtime_error on
 /// malformed input or trailing content; `what` prefixes the error message
-/// so callers can attribute failures ("checkpoint", "store", ...).
+/// so callers can attribute failures ("store", "query", ...).
 JsonValue parse_json(const std::string& text, const std::string& what);
 
 /// Member access with schema checking: throws std::runtime_error (prefixed

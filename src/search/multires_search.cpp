@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "exec/thread_pool.hpp"
-#include "robust/checkpoint.hpp"
 
 namespace metacore::search {
 
@@ -150,7 +149,6 @@ void MultiresolutionSearch::absorb_evaluation(const std::vector<int>& indices,
                                               int fidelity, Evaluation eval,
                                               SearchResult& result) {
   ++result.evaluations;
-  journal_.push_back({indices, fidelity});
   if (has_probabilistic_ && eval.has_metric(config_.probabilistic_metric)) {
     ber_predictor_.add(space_.normalized(indices),
                        eval.metric(config_.probabilistic_metric),
@@ -199,10 +197,7 @@ MultiresolutionSearch::Region MultiresolutionSearch::region_around(
 void MultiresolutionSearch::search_region(const Region& region, int resolution,
                                           SearchResult& result) {
   if (result.evaluations >= config_.max_evaluations) return;
-  const std::size_t cap =
-      resolution == 0
-          ? static_cast<std::size_t>(config_.max_initial_evaluations)
-          : static_cast<std::size_t>(config_.max_initial_evaluations);
+  const auto cap = static_cast<std::size_t>(config_.max_initial_evaluations);
   const int ppd = resolution == 0 ? config_.initial_points_per_dim
                                   : config_.refined_points_per_dim;
   const std::vector<std::vector<int>> grid = sample_grid(region, ppd, cap);
@@ -229,24 +224,13 @@ void MultiresolutionSearch::search_region(const Region& region, int resolution,
   // must be safe to call concurrently (the MetaCore evaluators build all
   // their simulation state per call). Results land in a dense index-ordered
   // buffer, so scheduling order cannot leak into anything downstream.
-  // Misses recorded in a restored checkpoint journal are satisfied from it
-  // instead of re-invoking the evaluator — a resumed search replays its
-  // past for free and only pays for the work beyond the checkpoint — and
-  // misses covered by the persistent store are absorbed straight from it,
-  // which is what turns a repeat search against a warm store into
-  // near-zero evaluator calls.
+  // Misses covered by the persistent store are absorbed straight from it,
+  // which is what turns a repeat or resumed search against a warm store
+  // into near-zero evaluator calls.
   std::vector<Evaluation> fresh(misses.size());
-  std::vector<std::size_t> live;  // misses no journal or store can satisfy
+  std::vector<std::size_t> live;  // misses the store cannot satisfy
   live.reserve(misses.size());
   for (std::size_t j = 0; j < misses.size(); ++j) {
-    if (!replay_cache_.empty()) {
-      const auto it = replay_cache_.find({grid[misses[j]], resolution});
-      if (it != replay_cache_.end()) {
-        fresh[j] = std::move(it->second);
-        replay_cache_.erase(it);
-        continue;
-      }
-    }
     if (config_.store) {
       auto hit = config_.store->lookup(config_.store_fingerprint,
                                        grid[misses[j]], resolution);
@@ -280,11 +264,6 @@ void MultiresolutionSearch::search_region(const Region& region, int resolution,
   for (std::size_t j = 0; j < misses.size(); ++j) {
     absorb_evaluation(grid[misses[j]], resolution, std::move(fresh[j]),
                       result);
-  }
-  // Level completed with new evidence: flush the checkpoint so a kill from
-  // here on loses at most the next level's in-flight batch.
-  if (!config_.checkpoint_path.empty() && !misses.empty()) {
-    flush_checkpoint();
   }
 
   // Phase 4: score the admitted points in grid order, exactly as the serial
@@ -364,27 +343,16 @@ SearchResult MultiresolutionSearch::run() {
   SearchResult result;
   const std::size_t divergent_before =
       config_.store ? config_.store->divergent_duplicates() : 0;
-  // Resume: load the journal once (a second run() on the same engine is
-  // already warm) and replay it instead of re-evaluating.
-  if (!config_.checkpoint_path.empty() && cache_.empty() &&
-      robust::checkpoint_exists(config_.checkpoint_path)) {
-    restore_from_checkpoint();
-  }
   Region full;
   full.ranges.reserve(space_.dimensions());
   for (const auto& p : space_.parameters()) {
     full.ranges.push_back({0, static_cast<int>(p.values.size()) - 1});
   }
   search_region(full, 0, result);
-  result.failures = current_failures();
+  if (guard_) result.failures = guard_->counters();
   if (config_.store) {
     result.divergent_duplicates =
         config_.store->divergent_duplicates() - divergent_before;
-  }
-  // Final flush: a completed run leaves a complete checkpoint, and resuming
-  // from it replays to the identical result with zero evaluator calls.
-  if (!config_.checkpoint_path.empty()) {
-    flush_checkpoint();
   }
 
   // Final history: the best-fidelity evaluation of each distinct point.
@@ -395,66 +363,6 @@ SearchResult MultiresolutionSearch::run() {
         {indices, space_.values_at(indices), eval, fid});
   }
   return result;
-}
-
-std::map<std::string, double> MultiresolutionSearch::config_fingerprint()
-    const {
-  return {
-      {"initial_points_per_dim",
-       static_cast<double>(config_.initial_points_per_dim)},
-      {"max_initial_evaluations",
-       static_cast<double>(config_.max_initial_evaluations)},
-      {"max_resolution", static_cast<double>(config_.max_resolution)},
-      {"regions_per_level", static_cast<double>(config_.regions_per_level)},
-      {"refined_points_per_dim",
-       static_cast<double>(config_.refined_points_per_dim)},
-      {"max_evaluations", static_cast<double>(config_.max_evaluations)},
-      {"probability_keep_threshold", config_.probability_keep_threshold},
-  };
-}
-
-robust::FailureCounters MultiresolutionSearch::current_failures() const {
-  robust::FailureCounters out = restored_failures_;
-  if (guard_) out += guard_->counters();
-  return out;
-}
-
-void MultiresolutionSearch::restore_from_checkpoint() {
-  robust::SearchCheckpoint cp =
-      robust::load_checkpoint(config_.checkpoint_path);
-  if (cp.dimensions != space_.dimensions()) {
-    throw std::runtime_error(
-        "MultiresolutionSearch: checkpoint dimensionality (" +
-        std::to_string(cp.dimensions) + ") does not match the design space (" +
-        std::to_string(space_.dimensions()) + ")");
-  }
-  if (cp.probabilistic_metric != config_.probabilistic_metric ||
-      cp.fingerprint != config_fingerprint()) {
-    throw std::runtime_error(
-        "MultiresolutionSearch: checkpoint " + config_.checkpoint_path +
-        " was written under a different search configuration; delete it to "
-        "start fresh");
-  }
-  restored_failures_ = cp.failures;
-  for (auto& rec : cp.journal) {
-    space_.check_indices(rec.indices);
-    replay_cache_.emplace(
-        std::make_pair(std::move(rec.indices), rec.fidelity),
-        std::move(rec.eval));
-  }
-}
-
-void MultiresolutionSearch::flush_checkpoint() const {
-  robust::SearchCheckpoint cp;
-  cp.dimensions = space_.dimensions();
-  cp.probabilistic_metric = config_.probabilistic_metric;
-  cp.fingerprint = config_fingerprint();
-  cp.failures = current_failures();
-  cp.journal.reserve(journal_.size());
-  for (const auto& [indices, fidelity] : journal_) {
-    cp.journal.push_back({indices, fidelity, cache_.at(indices).at(fidelity)});
-  }
-  robust::save_checkpoint(config_.checkpoint_path, cp);
 }
 
 SearchResult exhaustive_search(const DesignSpace& space,

@@ -51,23 +51,19 @@ struct SearchConfig {
   bool guard_evaluations = true;
   /// Retry policy for transient evaluation faults (guarded mode only).
   robust::RetryPolicy retry{};
-  /// When non-empty, the evaluation journal is flushed to this versioned
-  /// JSON checkpoint after every level that evaluated new points, and
-  /// run() resumes from the file if it exists: the journal is replayed
-  /// (zero evaluator calls for completed work, bit-identical trajectory)
-  /// and the search continues where it stopped. A checkpoint written under
-  /// a different search configuration is rejected with std::runtime_error.
-  std::string checkpoint_path;
   /// Persistent cross-run evaluation store (serve::EvaluationStore or any
   /// other EvaluationStoreBase). When set, every cache miss first consults
   /// the store under `store_fingerprint` — a hit is absorbed without
   /// invoking the evaluator (counted in SearchResult::store_hits) — and
-  /// every fresh evaluation is recorded back. Because stored evaluations
-  /// round-trip bit-exactly and the absorb order is unchanged, a warm
-  /// store reproduces the cold search's trajectory and result exactly.
-  /// Unlike `checkpoint_path`, the store is shared *across* searches and
-  /// configurations: the fingerprint scopes entries to an evaluator, not
-  /// to a search trajectory.
+  /// every level's fresh evaluations are recorded back once the level's
+  /// batch completes. Because stored evaluations round-trip bit-exactly and
+  /// the absorb order is unchanged, a warm store reproduces the cold
+  /// search's trajectory and result exactly. This is also how a killed
+  /// search resumes: rerun it over the reopened store, and the levels it
+  /// finished replay without evaluator calls. The fingerprint scopes
+  /// entries to an evaluator, not to a search configuration, so searches
+  /// with different configurations share the store and each still returns
+  /// its own cold result.
   std::shared_ptr<EvaluationStoreBase> store;
   /// Content fingerprint of the evaluator (requirements + design space +
   /// measurement definition). Required when `store` is set; the MetaCore
@@ -87,10 +83,9 @@ struct SearchResult {
   bool found_feasible = false;
   EvaluatedPoint best{};
   /// Budget-consuming evaluations absorbed by the search: every level
-  /// cache miss, whether satisfied by the evaluator, a checkpoint replay,
-  /// or a persistent-store hit — identical for cold and warm runs of the
-  /// same search (actual evaluator invocations = evaluations - store_hits
-  /// - checkpoint-replayed work).
+  /// cache miss, whether satisfied by the evaluator or by a persistent-store
+  /// hit — identical for cold and warm runs of the same search (actual
+  /// evaluator invocations = evaluations - store_hits).
   std::size_t evaluations = 0;
   /// Level grid points satisfied by the in-run evaluation cache (points
   /// revisited across levels/fidelities); these never consume budget.
@@ -108,9 +103,10 @@ struct SearchResult {
   /// Every distinct point evaluated (highest-fidelity result per point) —
   /// the population behind the paper's "average case" comparisons.
   std::vector<EvaluatedPoint> history;
-  /// Failure/retry accounting from the guarded evaluator (all zero when
-  /// guarding is disabled or nothing failed). On a resumed search this
-  /// includes the counters restored from the checkpoint.
+  /// Failure/retry accounting from the guarded evaluator during this run
+  /// (all zero when guarding is disabled or nothing failed). Like
+  /// `store_hits` it is run-local: evaluations replayed from the store keep
+  /// their failure_reason but are not counted again.
   robust::FailureCounters failures;
 };
 
@@ -148,15 +144,6 @@ class MultiresolutionSearch {
   Region region_around(const std::vector<int>& center,
                        const std::vector<std::vector<int>>& grid,
                        const Region& parent) const;
-  /// Loads config_.checkpoint_path (if present) into the replay journal so
-  /// the next run() walks the recorded trajectory without evaluator calls.
-  void restore_from_checkpoint();
-  /// Writes the evaluation journal + counters to config_.checkpoint_path.
-  void flush_checkpoint() const;
-  /// The trajectory-shaping config knobs, for checkpoint validation.
-  std::map<std::string, double> config_fingerprint() const;
-  /// Counters restored from a checkpoint plus the live guard's counters.
-  robust::FailureCounters current_failures() const;
 
   DesignSpace space_;
   Objective objective_;
@@ -166,14 +153,6 @@ class MultiresolutionSearch {
   std::optional<robust::GuardedEvaluator> guard_;
 
   std::map<std::vector<int>, std::map<int, Evaluation>> cache_;
-  /// Absorption order of every cache entry — the replayable journal that
-  /// makes checkpoints bit-exact (predictor evidence order included).
-  std::vector<std::pair<std::vector<int>, int>> journal_;
-  /// Evaluations restored from a checkpoint, keyed by (indices, fidelity);
-  /// consumed (instead of calling the evaluator) as the resumed search
-  /// re-walks the recorded trajectory.
-  std::map<std::pair<std::vector<int>, int>, Evaluation> replay_cache_;
-  robust::FailureCounters restored_failures_;
   BerPredictor ber_predictor_;
   /// Interpolator over the (smooth) objective metric, maintained for
   /// callers that want post-hoc surface estimates (the paper's smooth-

@@ -13,7 +13,6 @@
 
 #include "core/report.hpp"
 #include "exec/thread_pool.hpp"
-#include "robust/checkpoint.hpp"
 #include "robust/json.hpp"
 #include "search/pareto.hpp"
 #include "serve/binary_codec.hpp"
@@ -108,8 +107,7 @@ void write_point(std::ostream& os, const search::EvaluatedPoint& pt) {
     robust::write_double(os, pt.values[i]);
   }
   os << "],\"record\":";
-  robust::write_eval_record(
-      os, robust::CheckpointRecord{pt.indices, pt.fidelity, pt.eval});
+  write_eval_record(os, EvalRecord{pt.indices, pt.fidelity, pt.eval});
   os << '}';
 }
 

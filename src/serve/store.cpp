@@ -15,7 +15,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "robust/checkpoint.hpp"
 #include "robust/json.hpp"
 
 namespace metacore::serve {
@@ -24,7 +23,6 @@ namespace {
 
 constexpr const char* kKind = "metacore-evaluation-store";
 constexpr const char* kWhat = "store";
-constexpr int kLegacyStoreVersion = 1;
 constexpr std::size_t kMaxSkipReasons = 100;
 constexpr std::size_t kMaxShards = 256;
 
@@ -201,10 +199,50 @@ std::size_t file_size_of(const std::string& path) {
   return ec ? 0 : static_cast<std::size_t>(size);
 }
 
+/// Parses a JSON object in the write_eval_record schema. Throws
+/// std::runtime_error (prefixed with `what`) on a missing or mistyped
+/// field.
+EvalRecord parse_eval_record(const robust::JsonValue& obj,
+                             const std::string& what) {
+  using robust::JsonValue;
+  using robust::require;
+  if (obj.type != JsonValue::Type::Object) {
+    throw std::runtime_error(what + ": evaluation record is not an object");
+  }
+  EvalRecord rec;
+  const JsonValue& indices =
+      require(obj, "indices", JsonValue::Type::Array, what);
+  rec.indices.reserve(indices.array.size());
+  for (const JsonValue& idx : indices.array) {
+    if (idx.type != JsonValue::Type::Number) {
+      throw std::runtime_error(what + ": non-numeric grid index");
+    }
+    rec.indices.push_back(static_cast<int>(std::llround(idx.number)));
+  }
+  rec.fidelity = static_cast<int>(std::llround(
+      require(obj, "fidelity", JsonValue::Type::Number, what).number));
+  rec.eval.feasible =
+      require(obj, "feasible", JsonValue::Type::Bool, what).boolean;
+  rec.eval.confidence_weight =
+      require(obj, "confidence_weight", JsonValue::Type::Number, what).number;
+  rec.eval.failure_reason =
+      require(obj, "failure_reason", JsonValue::Type::String, what).string;
+  const JsonValue& metrics =
+      require(obj, "metrics", JsonValue::Type::Object, what);
+  for (const auto& [name, value] : metrics.object) {
+    if (value.type != JsonValue::Type::Number) {
+      throw std::runtime_error(what + ": non-numeric metric \"" + name +
+                               "\"");
+    }
+    rec.eval.metrics[name] = value.number;
+  }
+  return rec;
+}
+
 std::string payload_for(const std::string& fingerprint,
                         const std::vector<int>& indices, int fidelity,
                         const search::Evaluation& eval) {
-  robust::CheckpointRecord rec;
+  EvalRecord rec;
   rec.indices = indices;
   rec.fidelity = fidelity;
   rec.eval = eval;
@@ -212,7 +250,7 @@ std::string payload_for(const std::string& fingerprint,
   os << "{\"fingerprint\":";
   robust::write_escaped(os, fingerprint);
   os << ",\"record\":";
-  robust::write_eval_record(os, rec);
+  write_eval_record(os, rec);
   os << "}";
   return os.str();
 }
@@ -223,11 +261,10 @@ struct FileLoad {
   EntryTable entries;
   StoreStats stats;          // journal_records / duplicates / skips / tail
   bool fresh_start = false;  ///< the file starts empty (absent or header-torn)
-  bool legacy = false;       ///< v1 JSONL; must be rewritten framed
 };
 
 void merge_record(FileLoad& load, const std::string& fingerprint,
-                  const robust::CheckpointRecord& rec) {
+                  const EvalRecord& rec) {
   ++load.stats.journal_records;
   auto [entry, inserted] =
       load.entries.slot(fingerprint, rec.indices, rec.fidelity);
@@ -262,13 +299,13 @@ void load_framed(FileLoad& load, const std::string& path,
   for (std::size_t i = 0; i < framed.records.size(); ++i) {
     const std::string& payload = framed.records[i];
     std::string fingerprint;
-    robust::CheckpointRecord rec;
+    EvalRecord rec;
     try {
       const robust::JsonValue entry = robust::parse_json(payload, kWhat);
       fingerprint = robust::require(entry, "fingerprint",
                                     robust::JsonValue::Type::String, kWhat)
                         .string;
-      rec = robust::parse_eval_record(
+      rec = parse_eval_record(
           robust::require(entry, "record", robust::JsonValue::Type::Object,
                           kWhat),
           kWhat);
@@ -282,75 +319,6 @@ void load_framed(FileLoad& load, const std::string& path,
     }
     merge_record(load, fingerprint, rec);
   }
-}
-
-void load_legacy(FileLoad& load, const std::string& path,
-                 const std::string& text) {
-  // Pre-journal (version 1) stores: header line + one JSON record per
-  // line, no checksums. Without CRCs we cannot tell damage from a writer
-  // bug, so the legacy policy stays strict: a newline-terminated line that
-  // fails to parse rejects the file. A clean legacy load is migrated to
-  // the framed format.
-  std::vector<std::pair<std::size_t, std::string>> lines;  // (offset, text)
-  std::size_t start = 0;
-  while (start < text.size()) {
-    const std::size_t nl = text.find('\n', start);
-    if (nl == std::string::npos) break;
-    lines.emplace_back(start, text.substr(start, nl - start));
-    start = nl + 1;
-  }
-  const std::size_t tail_bytes = text.size() - start;
-
-  robust::JsonValue header;
-  try {
-    header = robust::parse_json(lines[0].second, kWhat);
-  } catch (const std::runtime_error& e) {
-    throw std::runtime_error("store: " + path +
-                             " has an unreadable header line: " + e.what());
-  }
-  if (header.type != robust::JsonValue::Type::Object ||
-      robust::require(header, "magic", robust::JsonValue::Type::String, kWhat)
-              .string != kKind) {
-    throw std::runtime_error("store: " + path +
-                             " is not a metacore evaluation store");
-  }
-  const auto version = static_cast<int>(std::llround(
-      robust::require(header, "version", robust::JsonValue::Type::Number,
-                      kWhat)
-          .number));
-  if (version != kLegacyStoreVersion) {
-    throw std::runtime_error(
-        "store: " + path + " has unsupported version " +
-        std::to_string(version) + " (this build reads versions " +
-        std::to_string(kLegacyStoreVersion) + " and " +
-        std::to_string(kStoreVersion) + ")");
-  }
-
-  for (std::size_t i = 1; i < lines.size(); ++i) {
-    robust::JsonValue entry;
-    try {
-      entry = robust::parse_json(lines[i].second, kWhat);
-    } catch (const std::runtime_error& e) {
-      throw std::runtime_error(
-          "store: " + path + " is corrupt at line " + std::to_string(i + 1) +
-          " (a newline-terminated record failed to parse — not a truncated "
-          "tail, refusing to guess): " +
-          e.what());
-    }
-    std::string fingerprint =
-        robust::require(entry, "fingerprint", robust::JsonValue::Type::String,
-                        kWhat)
-            .string;
-    robust::CheckpointRecord rec = robust::parse_eval_record(
-        robust::require(entry, "record", robust::JsonValue::Type::Object,
-                        kWhat),
-        kWhat);
-    merge_record(load, fingerprint, rec);
-  }
-  if (tail_bytes > 0) {
-    load.stats.recovered_bytes = tail_bytes;
-  }
-  load.legacy = true;
 }
 
 /// Replays one journal at `path` (absent file => fresh). Throws
@@ -379,11 +347,11 @@ FileLoad load_journal_file(const std::string& path) {
     return load;
   }
 
-  if (robust::looks_like_journal(text)) {
-    load_framed(load, path, text);
-  } else {
-    load_legacy(load, path, text);
+  if (!robust::looks_like_journal(text)) {
+    throw std::runtime_error("store: " + path +
+                             " is not a metacore evaluation store");
   }
+  load_framed(load, path, text);
   return load;
 }
 
@@ -400,6 +368,30 @@ std::string snapshot_text(const EntryTable& entries) {
 }
 
 }  // namespace
+
+void write_eval_record(std::ostream& os, const EvalRecord& rec) {
+  os << "{\"indices\":[";
+  for (std::size_t d = 0; d < rec.indices.size(); ++d) {
+    if (d) os << ',';
+    os << rec.indices[d];
+  }
+  os << "],\"fidelity\":" << rec.fidelity
+     << ",\"feasible\":" << (rec.eval.feasible ? "true" : "false")
+     << ",\"confidence_weight\":";
+  robust::write_double(os, rec.eval.confidence_weight);
+  os << ",\"failure_reason\":";
+  robust::write_escaped(os, rec.eval.failure_reason);
+  os << ",\"metrics\":{";
+  bool first = true;
+  for (const auto& [name, value] : rec.eval.metrics) {
+    if (!first) os << ',';
+    first = false;
+    robust::write_escaped(os, name);
+    os << ':';
+    robust::write_double(os, value);
+  }
+  os << "}}";
+}
 
 std::uint64_t fingerprint_hash(std::string_view fingerprint) noexcept {
   // FNV-1a, 64-bit: stable pure byte arithmetic — the shard (and dispatch
@@ -602,16 +594,14 @@ void EvaluationStore::load_shard_in_place(Shard& shard) {
   shard.stats.live_entries = shard.entries.size;
   shard.fresh_start = load.fresh_start;
 
-  // Recovery rewrites (damage, crash tails, legacy migration) are
-  // unconditional — they restore the on-disk invariants. Pure duplicate
-  // bloat compacts only past the configured dead-record ratio, so a
-  // long-lived server's journal stays bounded without rewriting on every
-  // restart.
+  // Recovery rewrites (damage, crash tails) are unconditional — they
+  // restore the on-disk invariants. Pure duplicate bloat compacts only past
+  // the configured dead-record ratio, so a long-lived server's journal
+  // stays bounded without rewriting on every restart.
   const std::size_t dead =
       shard.stats.duplicate_records + shard.stats.skipped_records;
   const std::size_t total = dead + shard.entries.size;
-  if (shard.stats.skipped_records > 0 || shard.stats.recovered_bytes > 0 ||
-      load.legacy) {
+  if (shard.stats.skipped_records > 0 || shard.stats.recovered_bytes > 0) {
     shard.needs_rewrite = true;
   } else if (dead > 0 && config_.auto_compact_dead_ratio > 0.0 && total > 0 &&
              static_cast<double>(dead) >=
@@ -620,7 +610,7 @@ void EvaluationStore::load_shard_in_place(Shard& shard) {
   }
 
   if (shard.needs_rewrite) {
-    compact_shard_locked(shard);  // recovery/migration/bounded-growth rewrite
+    compact_shard_locked(shard);  // recovery/bounded-growth rewrite
   } else {
     shard.open_writer(config_, shard.fresh_start);
   }

@@ -3,9 +3,13 @@
 // queries. Storage is one or more append-only record journals
 // (robust/journal.hpp) — a self-identifying header line followed by one
 // CRC32C-guarded, length-prefixed frame per evaluation, keyed by (evaluator
-// fingerprint, grid indices, fidelity). Payloads reuse the versioned-JSON
-// machinery of robust/checkpoint (robust::write_eval_record /
-// parse_eval_record), so stored doubles round-trip bit-exactly.
+// fingerprint, grid indices, fidelity). Payloads are JSON in the
+// write_eval_record schema below, so stored doubles round-trip bit-exactly.
+//
+// The store is also how a search resumes: a search killed mid-run has
+// recorded every level it finished, and a rerun over the reopened store
+// absorbs those levels without evaluator calls, walking the same
+// trajectory to the same result.
 //
 // Sharding (StoreConfig::shards, env METACORE_STORE_SHARDS):
 //  * shards == 1 keeps the historical single-file layout at `path`,
@@ -41,8 +45,7 @@
 //    checksummed snapshot via tmp file + fsync + atomic rename; it runs
 //    automatically at open when a shard's dead-record ratio (duplicates +
 //    damage) crosses StoreConfig::auto_compact_dead_ratio, so a long-lived
-//    server's journals stay bounded. Legacy (v1 JSONL) stores are migrated
-//    to the framed format on first open.
+//    server's journals stay bounded.
 //  * Degraded read-only mode: when an append fails terminally (disk gone
 //    bad mid-run, after bounded retries), the affected shard keeps serving
 //    lookups and absorbing records in memory but stops journaling; stats()
@@ -58,7 +61,7 @@
 // shared mutex per shard; writers on distinct shards proceed in parallel,
 // and blocked writer acquisitions are counted in
 // StoreStats::lock_contention. Cross-process single-writer discipline is
-// the caller's contract, as with the search checkpoints.
+// the caller's contract.
 #pragma once
 
 #include <cstddef>
@@ -66,6 +69,7 @@
 #include <atomic>
 #include <memory>
 #include <optional>
+#include <ostream>
 #include <shared_mutex>
 #include <string>
 #include <string_view>
@@ -78,8 +82,23 @@
 namespace metacore::serve {
 
 /// Framed-journal store schema ("kind_version" in the header). Version 1
-/// was the pre-CRC JSONL format, still readable (and migrated) on load.
+/// was a pre-CRC JSONL format; a file in it is rejected, not read.
 inline constexpr int kStoreVersion = 2;
+
+/// One stored evaluation: the grid indices of the point, the fidelity it
+/// was evaluated at, and the full result.
+struct EvalRecord {
+  std::vector<int> indices;
+  int fidelity = 0;
+  search::Evaluation eval;
+};
+
+/// Writes `rec` as one JSON object: the record schema of the store's
+/// journal frames (which add the evaluator fingerprint around it) and of
+/// the service's archive points. Doubles are written with round-trip
+/// precision and non-finite values as the bare tokens inf/-inf/nan
+/// (robust/json.hpp), so the store reads every field back bit-exactly.
+void write_eval_record(std::ostream& os, const EvalRecord& rec);
 
 /// Stable 64-bit FNV-1a over the fingerprint bytes: the routing hash that
 /// assigns an evaluator scope to a store shard — and, in the networked
@@ -140,7 +159,7 @@ struct StoreConfig {
   /// Auto-compaction trigger at open: rewrite a shard when
   /// dead / (dead + live) >= ratio, dead = duplicate + skipped records.
   /// <= 0 disables ratio-triggered compaction (recovery rewrites for
-  /// damage/tails and legacy migration still happen). Override with
+  /// damage/tails still happen). Override with
   /// METACORE_STORE_COMPACT_RATIO.
   double auto_compact_dead_ratio = 0.25;
   /// Shard count (1 = historical single-file layout). Override with
@@ -157,9 +176,10 @@ class EvaluationStore final : public search::EvaluationStoreBase {
  public:
   /// Opens (creating if absent) the store at `path`, replaying every
   /// journal of the on-disk layout into memory with tail recovery,
-  /// per-record damage skipping, legacy migration, layout migration, and
-  /// ratio-triggered compaction as described above. Throws
-  /// std::runtime_error on I/O failure, a foreign single-file store, or a
+  /// per-record damage skipping, layout migration, and ratio-triggered
+  /// compaction as described above. Throws std::runtime_error naming the
+  /// path on I/O failure, a single-file store that is not a framed journal
+  /// of this kind (a v1 store included; the file is left untouched), or a
   /// version mismatch.
   explicit EvaluationStore(std::string path,
                            StoreConfig config = StoreConfig::from_env());

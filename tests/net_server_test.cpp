@@ -2,12 +2,19 @@
 // socket answers byte-identical to in-process DesignService answers,
 // multiplexed out-of-order responses, malformed/oversized-frame survival,
 // overload rejection under a tiny admission quota, graceful drain with
-// queries in flight, and survival of clients that vanish mid-query.
+// queries in flight, survival of clients that vanish mid-query, and the
+// refusal count for connections over the cap.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -569,6 +576,83 @@ TEST(DesignServer, OverloadReturnsStructuredRejections) {
   // The slow query itself completes normally.
   EXPECT_TRUE(busy.recv_matching("slow").ok());
   EXPECT_GE(server.stats().queries_rejected, rejected);
+  server.shutdown();
+}
+
+TEST(DesignServer, ConnectionsOverTheCapAreRefusedAndCounted) {
+  ServerConfig config = loopback_config();
+  config.max_connections = 1;
+  auto service = std::make_shared<serve::DesignService>();
+  DesignServer server(service, config);
+  server.start();
+
+  DesignClient client;
+  client.connect("127.0.0.1", server.port());
+  ASSERT_TRUE(
+      wait_until([&] { return server.stats().accepted_connections == 1; }));
+
+  // The kernel completes the second handshake; the server then accepts the
+  // socket and closes it at once, so the peer reads end-of-stream.
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  timeval timeout{};
+  timeout.tv_sec = 10;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<std::uint16_t>(server.port()));
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+  char byte = 0;
+  EXPECT_EQ(::recv(fd, &byte, 1, 0), 0);
+  ::close(fd);
+  ASSERT_TRUE(
+      wait_until([&] { return server.stats().refused_connections == 1; }));
+
+  // The admitted connection still works and its stats reply carries the
+  // refusal.
+  const WireResponse response = client.stats();
+  ASSERT_TRUE(response.ok()) << response.reason;
+  EXPECT_NE(response.stats_json.find("\"refused_connections\":1"),
+            std::string::npos)
+      << response.stats_json;
+  EXPECT_EQ(server.stats().accepted_connections, 1u);
+  server.shutdown();
+}
+
+// Only connections turned away at the cap count as refused: admitted ones
+// that come and go, up to the cap, never do.
+TEST(DesignServer, ConnectionsUnderTheCapAreNotCountedAsRefused) {
+  ServerConfig config = loopback_config();
+  config.max_connections = 2;
+  auto service = std::make_shared<serve::DesignService>();
+  DesignServer server(service, config);
+  server.start();
+
+  DesignClient steady;
+  steady.connect("127.0.0.1", server.port());
+  for (std::size_t round = 1; round <= 3; ++round) {
+    DesignClient passing;
+    passing.connect("127.0.0.1", server.port());
+    const WireResponse response = passing.stats();
+    ASSERT_TRUE(response.ok()) << response.reason;
+    EXPECT_NE(response.stats_json.find("\"refused_connections\":0"),
+              std::string::npos)
+        << response.stats_json;
+    passing.close();
+    // Wait for the server to see the close, so the next connection is
+    // under the cap again.
+    ASSERT_TRUE(wait_until([&] {
+      return server.stats().active_connections == 1 &&
+             server.stats().accepted_connections == round + 1;
+    }));
+  }
+  const WireResponse response = steady.stats();
+  ASSERT_TRUE(response.ok()) << response.reason;
+  EXPECT_EQ(server.stats().refused_connections, 0u);
+  EXPECT_EQ(server.stats().accepted_connections, 4u);
   server.shutdown();
 }
 

@@ -1,7 +1,7 @@
 // The crash matrix: deterministic fail-point injection over the
 // persistence layer (robust/journal.hpp, robust/failpoint.hpp). These
 // tests kill the evaluation-store journal after every byte of every
-// record write and at each checkpoint/compaction boundary, then reopen as
+// record write and at each compaction boundary, then reopen as
 // a restarted process would and assert bit-identical recovery: the file
 // equals what a clean run over the surviving prefix would have produced,
 // completed sessions converge to byte-identical journals, and no
@@ -12,12 +12,12 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "robust/checkpoint.hpp"
 #include "robust/failpoint.hpp"
 #include "robust/journal.hpp"
 #include "search/multires_search.hpp"
@@ -272,69 +272,7 @@ TEST(CrashMatrix, StoreHeaderWriteSurvivesEveryByteBoundary) {
   }
 }
 
-// Checkpoint flushes are atomic: a crash at the tmp write, the fsync, or
-// just before the rename leaves the previous checkpoint untouched; a
-// crash just after the rename leaves the new one. Never a torn file.
-TEST(CrashMatrix, CheckpointFlushIsAtomicAtEveryBoundary) {
-  FailPointGuard guard;
-  const std::string path = temp_path("crash_checkpoint.json");
-
-  SearchCheckpoint old_cp;
-  old_cp.dimensions = 2;
-  old_cp.probabilistic_metric = "ber";
-  old_cp.fingerprint["knob"] = 1.0;
-  old_cp.journal.push_back({{1, 2}, 0, eval_with_cost(1.0)});
-
-  SearchCheckpoint new_cp = old_cp;
-  new_cp.journal.push_back({{3, 4}, 1, eval_with_cost(2.0)});
-
-  save_checkpoint(path, old_cp);
-  const std::string old_bytes = read_file(path);
-  save_checkpoint(path, new_cp);
-  const std::string new_bytes = read_file(path);
-  ASSERT_NE(old_bytes, new_bytes);
-
-  struct Boundary {
-    const char* point;
-    std::size_t partial_bytes;
-    bool expect_new;
-  };
-  const std::vector<Boundary> boundaries = {
-      {"checkpoint.write", 0, false},
-      {"checkpoint.write", 1, false},
-      {"checkpoint.write", new_bytes.size() / 2, false},
-      {"checkpoint.write", SIZE_MAX, false},  // full write, die before sync
-      {"checkpoint.sync", SIZE_MAX, false},
-      {"checkpoint.rename", SIZE_MAX, false},
-      {"checkpoint.renamed", SIZE_MAX, true},
-  };
-  for (const Boundary& boundary : boundaries) {
-    write_file(path, old_bytes);
-    FailPoints::instance().reset();
-    FailPointSpec spec;
-    spec.partial_bytes = boundary.partial_bytes;
-    FailPoints::instance().arm(boundary.point, spec);
-    EXPECT_THROW(save_checkpoint(path, new_cp), CrashInjected)
-        << boundary.point;
-    FailPoints::instance().reset();
-
-    EXPECT_EQ(read_file(path), boundary.expect_new ? new_bytes : old_bytes)
-        << boundary.point;
-    // Whatever survived must load: old or new, never torn.
-    const SearchCheckpoint loaded = load_checkpoint(path);
-    EXPECT_EQ(loaded.journal.size(),
-              boundary.expect_new ? new_cp.journal.size()
-                                  : old_cp.journal.size())
-        << boundary.point;
-    // And the next flush recovers fully (stale .tmp is simply rewritten).
-    save_checkpoint(path, new_cp);
-    EXPECT_EQ(read_file(path), new_bytes) << boundary.point;
-  }
-  std::remove(path.c_str());
-  std::remove((path + ".tmp").c_str());
-}
-
-// Compaction publishes through the same atomic-replace: a crash at any of
+// Compaction publishes through a durable atomic replace: a crash at any of
 // its boundaries leaves either the dup-laden old journal or the compacted
 // new one — both replay to the same live set.
 TEST(CrashMatrix, CompactionCrashLeavesOldOrNewJournal) {
@@ -343,7 +281,9 @@ TEST(CrashMatrix, CompactionCrashLeavesOldOrNewJournal) {
 
   const std::vector<std::pair<const char*, std::size_t>> boundaries = {
       {"store.compact.write", 0},
+      {"store.compact.write", 1},
       {"store.compact.write", 10},
+      {"store.compact.write", ref.size() / 2},
       {"store.compact.write", SIZE_MAX},
       {"store.compact.sync", SIZE_MAX},
       {"store.compact.rename", SIZE_MAX},
@@ -374,6 +314,53 @@ TEST(CrashMatrix, CompactionCrashLeavesOldOrNewJournal) {
     std::remove(path.c_str());
     std::remove((path + ".tmp").c_str());
   }
+}
+
+// atomic_replace_file itself, under a tag of its own: a crash at the tmp
+// write, the fsync, or just before the rename leaves the old file; a crash
+// just after the rename leaves the new one. Never a torn file, and the
+// next replace rewrites the stale tmp and publishes the new bytes.
+TEST(CrashMatrix, AtomicReplaceIsAtomicAtEveryBoundary) {
+  FailPointGuard guard;
+  const std::string path = temp_path("crash_replace.txt");
+  const std::string old_bytes = "old contents\n";
+  const std::string new_bytes = "new contents, longer than the old ones\n";
+  const DurabilityConfig durability = DurabilityConfig::parse("fsync-every-1");
+
+  struct Boundary {
+    const char* point;
+    std::size_t partial_bytes;
+    bool expect_new;
+  };
+  const std::vector<Boundary> boundaries = {
+      {"test.replace.write", 0, false},
+      {"test.replace.write", 1, false},
+      {"test.replace.write", new_bytes.size() / 2, false},
+      {"test.replace.write", SIZE_MAX, false},  // full write, die before sync
+      {"test.replace.sync", SIZE_MAX, false},
+      {"test.replace.rename", SIZE_MAX, false},
+      {"test.replace.renamed", SIZE_MAX, true},
+  };
+  for (const Boundary& boundary : boundaries) {
+    write_file(path, old_bytes);
+    FailPoints::instance().reset();
+    FailPointSpec spec;
+    spec.partial_bytes = boundary.partial_bytes;
+    FailPoints::instance().arm(boundary.point, spec);
+    EXPECT_THROW(atomic_replace_file(path, new_bytes, durability,
+                                     "test.replace", "replace"),
+                 CrashInjected)
+        << boundary.point;
+    FailPoints::instance().reset();
+
+    EXPECT_EQ(read_file(path), boundary.expect_new ? new_bytes : old_bytes)
+        << boundary.point;
+    atomic_replace_file(path, new_bytes, durability, "test.replace",
+                        "replace");
+    EXPECT_EQ(read_file(path), new_bytes) << boundary.point;
+  }
+  std::remove(path.c_str());
+  std::remove((path + ".tmp").c_str());
 }
 
 // --- Corruption fuzz: one flipped byte per record, every record.
@@ -446,6 +433,53 @@ TEST(IoErrors, TransientAppendFailureRetriesAndSucceeds) {
   serve::EvaluationStore reopened(path);
   EXPECT_EQ(reopened.size(), 2u);
   std::remove(path.c_str());
+}
+
+// A replace whose tmp writes never succeed gives up with an error that
+// carries its prefix, and the published file keeps its old bytes.
+TEST(IoErrors, PersistentReplaceWriteErrorKeepsTheOldFile) {
+  FailPointGuard guard;
+  const std::string path = temp_path("replace_dead.txt");
+  write_file(path, "old contents\n");
+  FailPointSpec spec;
+  spec.action = FailPointSpec::Action::IoError;
+  spec.error_count = SIZE_MAX;
+  FailPoints::instance().arm("test.replace.write", spec);
+  try {
+    atomic_replace_file(path, "new contents\n", DurabilityConfig{},
+                        "test.replace", "replace-test");
+    FAIL() << "a write that always fails must throw";
+  } catch (const JournalIoError& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(what.rfind("replace-test: write to " + path + ".tmp", 0), 0u)
+        << what;
+  }
+  FailPoints::instance().reset();
+  EXPECT_EQ(read_file(path), "old contents\n");
+
+  atomic_replace_file(path, "new contents\n", DurabilityConfig{},
+                      "test.replace", "replace-test");
+  EXPECT_EQ(read_file(path), "new contents\n");
+  std::remove(path.c_str());
+  std::remove((path + ".tmp").c_str());
+}
+
+// A target in a directory that does not exist fails at the tmp open, with
+// the prefix and the tmp path in the message, and creates nothing.
+TEST(IoErrors, ReplaceIntoMissingDirectoryNamesTheTmpFile) {
+  const std::string dir = testing::TempDir() + "/replace_missing_dir";
+  std::filesystem::remove_all(dir);
+  const std::string path = dir + "/target.txt";
+  try {
+    atomic_replace_file(path, "contents\n", DurabilityConfig{},
+                        "test.replace", "replace-test");
+    FAIL() << "a replace into a missing directory must throw";
+  } catch (const JournalIoError& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(what.rfind("replace-test: cannot open " + path + ".tmp", 0), 0u)
+        << what;
+  }
+  EXPECT_FALSE(std::filesystem::exists(dir));
 }
 
 TEST(IoErrors, DeadDeviceDegradesToReadOnlyAndCompactRecovers) {

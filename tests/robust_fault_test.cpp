@@ -1,21 +1,16 @@
 // Fault-injection matrix for the guarded multiresolution search: every
 // failure kind, serial and parallel, with deterministic injection — the
 // search must complete, account for every injected fault, and stay
-// bit-identical across thread counts. Plus checkpoint/resume: a run killed
-// mid-search resumes from its per-level checkpoint and reproduces the
-// uninterrupted result with fewer evaluator calls.
+// bit-identical across thread counts.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
-#include <cstdio>
 #include <limits>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "exec/thread_pool.hpp"
-#include "robust/checkpoint.hpp"
 #include "robust/fault_injection.hpp"
 #include "search/multires_search.hpp"
 #include "util/rng.hpp"
@@ -217,125 +212,6 @@ TEST(FaultMatrix, WinnerUnchangedWhenFaultsOnlyHitInfeasiblePoints) {
   EXPECT_EQ(faulted.evaluations, clean.evaluations);
   EXPECT_EQ(faulted.best.indices, clean.best.indices);
   EXPECT_EQ(faulted.best.eval.metrics, clean.best.eval.metrics);
-}
-
-std::string temp_path(const char* name) {
-  return testing::TempDir() + "/" + name;
-}
-
-/// Evaluator that hard-kills the process's search by throwing an unguarded
-/// exception at the Nth call (guarding disabled in these tests).
-search::EvaluateFn killing_eval(std::atomic<std::size_t>* calls,
-                                std::size_t kill_at) {
-  auto inner = synthetic_eval(nullptr);
-  return [calls, kill_at, inner](const std::vector<double>& point,
-                                 int fidelity) {
-    if (calls->fetch_add(1) + 1 == kill_at) {
-      throw std::runtime_error("simulated crash");
-    }
-    return inner(point, fidelity);
-  };
-}
-
-TEST(CheckpointResume, KilledRunResumesToIdenticalResult) {
-  auto config = small_config();
-  config.guard_evaluations = false;  // let the crash propagate
-
-  // Reference: uninterrupted run, no checkpoint.
-  exec::ThreadPool::set_global_threads(4);
-  std::atomic<std::size_t> ref_calls{0};
-  search::MultiresolutionSearch ref_engine(synthetic_space(),
-                                           synthetic_objective(),
-                                           synthetic_eval(&ref_calls), config);
-  const auto reference = ref_engine.run();
-  ASSERT_GT(ref_calls.load(), 40u) << "landscape too small to kill mid-run";
-
-  // Killed run: crashes past the halfway point, after at least one level
-  // completed and flushed its checkpoint.
-  const std::string path = temp_path("resume.json");
-  std::remove(path.c_str());
-  config.checkpoint_path = path;
-  std::atomic<std::size_t> kill_calls{0};
-  search::MultiresolutionSearch killed_engine(
-      synthetic_space(), synthetic_objective(),
-      killing_eval(&kill_calls, ref_calls.load() / 2), config);
-  EXPECT_THROW(killed_engine.run(), std::runtime_error);
-  ASSERT_TRUE(robust::checkpoint_exists(path))
-      << "no level completed before the crash";
-
-  // Resume: a fresh engine with a clean evaluator picks up the journal and
-  // finishes without repeating completed work.
-  std::atomic<std::size_t> resume_calls{0};
-  search::MultiresolutionSearch resumed_engine(
-      synthetic_space(), synthetic_objective(), synthetic_eval(&resume_calls),
-      config);
-  const auto resumed = resumed_engine.run();
-  exec::ThreadPool::set_global_threads(1);
-
-  expect_same_result(resumed, reference);
-  EXPECT_LT(resume_calls.load(), ref_calls.load())
-      << "resume re-evaluated work the checkpoint already covered";
-  EXPECT_GT(resume_calls.load(), 0u);
-
-  // Resuming a *completed* checkpoint replays everything: zero calls.
-  std::atomic<std::size_t> replay_calls{0};
-  search::MultiresolutionSearch replay_engine(
-      synthetic_space(), synthetic_objective(), synthetic_eval(&replay_calls),
-      config);
-  const auto replayed = replay_engine.run();
-  expect_same_result(replayed, reference);
-  EXPECT_EQ(replay_calls.load(), 0u);
-  std::remove(path.c_str());
-}
-
-TEST(CheckpointResume, RejectsCheckpointFromDifferentConfiguration) {
-  auto config = small_config();
-  config.checkpoint_path = temp_path("mismatch.json");
-  std::remove(config.checkpoint_path.c_str());
-  search::MultiresolutionSearch writer(synthetic_space(),
-                                       synthetic_objective(),
-                                       synthetic_eval(nullptr), config);
-  writer.run();
-  ASSERT_TRUE(robust::checkpoint_exists(config.checkpoint_path));
-
-  auto other = config;
-  other.max_resolution = config.max_resolution + 1;
-  search::MultiresolutionSearch reader(synthetic_space(),
-                                       synthetic_objective(),
-                                       synthetic_eval(nullptr), other);
-  EXPECT_THROW(reader.run(), std::runtime_error);
-  std::remove(config.checkpoint_path.c_str());
-}
-
-TEST(CheckpointResume, GuardedFaultsSurviveTheCheckpointRoundTrip) {
-  // A guarded run with injected faults writes its counters and failure
-  // reasons into the checkpoint; a replay restores both exactly.
-  auto config = small_config();
-  config.checkpoint_path = temp_path("faulted.json");
-  std::remove(config.checkpoint_path.c_str());
-  robust::FaultInjectionConfig faults;
-  faults.invalid_point = 0.05;
-  faults.transient = 0.05;
-
-  exec::ThreadPool::set_global_threads(4);
-  robust::FaultInjector injector(synthetic_eval(nullptr), faults);
-  search::MultiresolutionSearch engine(synthetic_space(),
-                                       synthetic_objective(), injector.fn(),
-                                       config);
-  const auto original = engine.run();
-  ASSERT_GT(original.failures.total_faults(), 0u);
-
-  std::atomic<std::size_t> replay_calls{0};
-  search::MultiresolutionSearch replayer(synthetic_space(),
-                                         synthetic_objective(),
-                                         synthetic_eval(&replay_calls),
-                                         config);
-  const auto replayed = replayer.run();
-  exec::ThreadPool::set_global_threads(1);
-
-  expect_same_result(replayed, original);
-  EXPECT_EQ(replay_calls.load(), 0u);
-  std::remove(config.checkpoint_path.c_str());
 }
 
 }  // namespace

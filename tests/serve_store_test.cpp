@@ -1,27 +1,34 @@
 // Tests for the persistent content-addressed evaluation store: framed
 // journal round-trip fidelity, load-time and manual compaction, crash-tail
 // recovery, the corruption policy (per-record CRC skip with counted
-// reasons; header-level problems reject), legacy v1 migration, divergent
-// duplicate detection, concurrent reader/writer discipline, and the
-// cold-search/warm-search equivalence the design-query service builds on.
+// reasons; header-level problems, v1 stores included, reject), divergent
+// duplicate detection, concurrent reader/writer discipline, the
+// cold-search/warm-search equivalence the design-query service builds on,
+// and resuming a killed search from the store.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/iir_metacore.hpp"
+#include "exec/thread_pool.hpp"
+#include "robust/fault_injection.hpp"
+#include "robust/journal.hpp"
 #include "search/multires_search.hpp"
 #include "serve/store.hpp"
+#include "util/rng.hpp"
 
 namespace metacore::serve {
 namespace {
@@ -96,17 +103,21 @@ TEST(EvaluationStore, RoundTripsEvaluationsBitExactly) {
   weird.metrics = {{"inf", std::numeric_limits<double>::infinity()},
                    {"ninf", -std::numeric_limits<double>::infinity()},
                    {"tiny", 4.9406564584124654e-324}};
+  search::Evaluation nan_sum;
+  nan_sum.metrics = {{"nan", std::numeric_limits<double>::quiet_NaN()},
+                     {"sum", 0.1 + 0.2}};  // not exactly 0.3
   {
     EvaluationStore store(path);
     store.record("fp-a", {0, 4}, 1, sample_eval(1.25));
     store.record("fp-a", {3, 1}, 0, weird);
     store.record("fp-b", {0, 4}, 1, sample_eval(9.0));
-    EXPECT_EQ(store.size(), 3u);
-    EXPECT_EQ(store.stats().appends, 3u);
+    store.record("fp-b", {2, 2}, 0, nan_sum);
+    EXPECT_EQ(store.size(), 4u);
+    EXPECT_EQ(store.stats().appends, 4u);
   }
   EvaluationStore reopened(path);
-  EXPECT_EQ(reopened.size(), 3u);
-  EXPECT_EQ(reopened.stats().journal_records, 3u);
+  EXPECT_EQ(reopened.size(), 4u);
+  EXPECT_EQ(reopened.stats().journal_records, 4u);
   EXPECT_EQ(reopened.stats().duplicate_records, 0u);
   EXPECT_EQ(reopened.stats().skipped_records, 0u);
   EXPECT_EQ(reopened.stats().recovered_bytes, 0u);
@@ -123,12 +134,19 @@ TEST(EvaluationStore, RoundTripsEvaluationsBitExactly) {
   EXPECT_EQ(odd->failure_reason, weird.failure_reason);
   EXPECT_EQ(odd->metrics, weird.metrics);
 
+  // NaN never compares equal, so it is checked apart from the map.
+  const auto nan_hit = reopened.lookup("fp-b", {2, 2}, 0);
+  ASSERT_TRUE(nan_hit.has_value());
+  EXPECT_TRUE(std::isnan(nan_hit->metrics.at("nan")));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(nan_hit->metrics.at("sum")),
+            std::bit_cast<std::uint64_t>(0.1 + 0.2));
+
   // Wrong fingerprint / indices / fidelity all miss.
   EXPECT_FALSE(reopened.lookup("fp-c", {0, 4}, 1).has_value());
   EXPECT_FALSE(reopened.lookup("fp-a", {0, 5}, 1).has_value());
   EXPECT_FALSE(reopened.lookup("fp-a", {0, 4}, 2).has_value());
   const auto stats = reopened.stats();
-  EXPECT_EQ(stats.hits, 2u);
+  EXPECT_EQ(stats.hits, 3u);
   EXPECT_EQ(stats.misses, 3u);
   std::remove(path.c_str());
 }
@@ -157,6 +175,32 @@ void expect_bit_identical(const search::Evaluation& got,
 // from the Viterbi-style ones stored beside them — plus a guarded failure
 // must come back bit-exactly from the in-memory record, from journal
 // replay, and from a compaction snapshot.
+// The record schema is shared by the journal frames and the service's
+// archive points, and journals written by earlier builds must keep
+// replaying, so its bytes are pinned: escapes, round-trip doubles, the
+// sign of zero and the bare non-finite tokens.
+TEST(EvalRecord, WriteEvalRecordBytesArePinned) {
+  EvalRecord rec;
+  rec.indices = {3, 1};
+  rec.fidelity = 2;
+  rec.eval.feasible = false;
+  rec.eval.confidence_weight = 3.0517578125e-05;
+  rec.eval.failure_reason = "invalid-point: \"quoted\"\n\ttabbed \\ slash";
+  rec.eval.metrics = {{"cost", 0.1 + 0.2},
+                      {"inf", std::numeric_limits<double>::infinity()},
+                      {"nan", std::numeric_limits<double>::quiet_NaN()},
+                      {"tiny", 4.9406564584124654e-324},
+                      {"zero", -0.0}};
+  std::ostringstream os;
+  write_eval_record(os, rec);
+  EXPECT_EQ(os.str(),
+            R"({"indices":[3,1],"fidelity":2,"feasible":false,)"
+            R"("confidence_weight":3.0517578125e-05,)"
+            R"("failure_reason":"invalid-point: \"quoted\"\n\ttabbed \\ slash",)"
+            R"("metrics":{"cost":0.30000000000000004,"inf":inf,"nan":nan,)"
+            R"("tiny":4.9406564584124654e-324,"zero":-0}})");
+}
+
 TEST(EvaluationStore, PackedRecordsRoundTripIirEvaluationsBitExactly) {
   const std::string path = temp_store_path("packed.journal");
   const core::IirMetaCore iir(core::paper_bandpass_requirements(1.0));
@@ -457,6 +501,61 @@ TEST(EvaluationStore, SkipsCorruptRecordMidFileAndKeepsTheRest) {
   std::remove(path.c_str());
 }
 
+// A frame whose checksum holds but whose payload is not an evaluation
+// record (a writer bug or schema drift, not bit rot) is skipped with a
+// reason naming what is wrong; the records around it survive.
+TEST(EvaluationStore, SkipsChecksumCleanRecordsThatAreNotEvaluations) {
+  const std::string path = temp_store_path("not_records.jsonl");
+  {
+    EvaluationStore store(path, single_file());
+    store.record("fp", {1}, 0, sample_eval(1.0));
+    store.record("fp", {2}, 0, sample_eval(2.0));
+  }
+  const std::string record_tail =
+      "\"fidelity\":0,\"feasible\":true,\"confidence_weight\":1,"
+      "\"failure_reason\":\"\",";
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"{\"fingerprint\":\"fp\"}", "missing field \"record\""},
+      {"{\"fingerprint\":\"fp\",\"record\":{\"indices\":[\"a\"]," +
+           record_tail + "\"metrics\":{}}}",
+       "non-numeric grid index"},
+      {"{\"fingerprint\":\"fp\",\"record\":{\"indices\":[7]," + record_tail +
+           "\"metrics\":{\"cost\":\"high\"}}}",
+       "non-numeric metric \"cost\""},
+  };
+  // Splice the bad frames in between the two good records.
+  std::string text = read_file(path);
+  const std::size_t second_frame =
+      text.find("\n#", text.find("\n#") + 1) + 1;
+  std::string frames;
+  for (const auto& [payload, reason] : bad) {
+    frames += robust::frame_record(payload);
+  }
+  text.insert(second_frame, frames);
+  write_file(path, text);
+  {
+    EvaluationStore store(path, single_file());
+    EXPECT_EQ(store.size(), 2u);
+    ASSERT_TRUE(store.lookup("fp", {1}, 0).has_value());
+    ASSERT_TRUE(store.lookup("fp", {2}, 0).has_value());
+    EXPECT_FALSE(store.lookup("fp", {7}, 0).has_value());
+    const auto stats = store.stats();
+    EXPECT_EQ(stats.skipped_records, bad.size());
+    ASSERT_EQ(stats.skip_reasons.size(), bad.size());
+    for (std::size_t i = 0; i < bad.size(); ++i) {
+      const std::string& reason = stats.skip_reasons[i];
+      EXPECT_NE(reason.find("checksum-clean but failed to parse"),
+                std::string::npos)
+          << reason;
+      EXPECT_NE(reason.find(bad[i].second), std::string::npos) << reason;
+    }
+  }
+  EvaluationStore clean(path, single_file());
+  EXPECT_EQ(clean.stats().skipped_records, 0u);
+  EXPECT_EQ(clean.size(), 2u);
+  std::remove(path.c_str());
+}
+
 TEST(EvaluationStore, RejectsJournalFormatVersionMismatchDescriptively) {
   const std::string path = temp_store_path("version.jsonl");
   { EvaluationStore store(path, single_file()); }
@@ -496,65 +595,79 @@ TEST(EvaluationStore, RejectsStoreSchemaVersionMismatchDescriptively) {
   std::remove(path.c_str());
 }
 
-TEST(EvaluationStore, RejectsForeignFileDescriptively) {
-  const std::string path = temp_store_path("foreign.jsonl");
-  write_file(path, "{\"magic\":\"something-else\",\"version\":1}\n");
+// A v1 store: JSONL without frames or checksums.
+const std::string kV1Header =
+    "{\"magic\":\"metacore-evaluation-store\",\"version\":1}\n";
+const std::string kV1Record =
+    "{\"fingerprint\":\"fp\",\"record\":{\"indices\":[3,1],"
+    "\"fidelity\":1,\"feasible\":true,\"confidence_weight\":42,"
+    "\"failure_reason\":\"\",\"metrics\":{\"cost\":1.25}}}\n";
+
+/// Opens `path` with `config`, expecting the "not a metacore evaluation
+/// store" rejection that names the path.
+void expect_not_a_store(const std::string& path, const StoreConfig& config) {
   try {
-    EvaluationStore store(path);
+    EvaluationStore store(path, config);
     FAIL() << "foreign file must be rejected";
   } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("not a metacore evaluation store"),
-              std::string::npos)
-        << e.what();
-  }
-  std::remove(path.c_str());
-}
-
-TEST(EvaluationStore, MigratesLegacyV1StoreOnOpen) {
-  const std::string path = temp_store_path("legacy.jsonl");
-  // A pre-journal (version 1) store: JSONL, no frames, no checksums.
-  write_file(path,
-             "{\"magic\":\"metacore-evaluation-store\",\"version\":1}\n"
-             "{\"fingerprint\":\"fp\",\"record\":{\"indices\":[3,1],"
-             "\"fidelity\":1,\"feasible\":true,\"confidence_weight\":42,"
-             "\"failure_reason\":\"\",\"metrics\":{\"cost\":1.25}}}\n");
-  // Pin the single-file layout: this test asserts the migrated bytes of
-  // `path` itself, so an ambient METACORE_STORE_SHARDS must not reshard.
-  StoreConfig single = StoreConfig::from_env();
-  single.shards = 1;
-  {
-    EvaluationStore store(path, single);
-    EXPECT_EQ(store.size(), 1u);
-    const auto hit = store.lookup("fp", {3, 1}, 1);
-    ASSERT_TRUE(hit.has_value());
-    EXPECT_EQ(hit->metric("cost"), 1.25);
-  }
-  // The open migrated the file to the framed format.
-  const std::string text = read_file(path);
-  EXPECT_NE(text.find("metacore-journal"), std::string::npos);
-  EXPECT_NE(text.find("\n#"), std::string::npos);
-  EvaluationStore reopened(path, single);
-  EXPECT_EQ(reopened.size(), 1u);
-  ASSERT_TRUE(reopened.lookup("fp", {3, 1}, 1).has_value());
-  std::remove(path.c_str());
-}
-
-TEST(EvaluationStore, LegacyStoreStaysStrictAboutTerminatedGarbage) {
-  const std::string path = temp_store_path("legacy_garbage.jsonl");
-  // Without CRCs, damage and writer bugs are indistinguishable: the
-  // legacy policy (reject loudly) is preserved for legacy files.
-  write_file(path,
-             "{\"magic\":\"metacore-evaluation-store\",\"version\":1}\n"
-             "this is not json\n");
-  try {
-    EvaluationStore store(path);
-    FAIL() << "terminated garbage in a legacy store must be rejected";
-  } catch (const std::runtime_error& e) {
     const std::string what = e.what();
-    EXPECT_NE(what.find("corrupt at line 2"), std::string::npos) << what;
+    EXPECT_NE(what.find("not a metacore evaluation store"), std::string::npos)
+        << what;
     EXPECT_NE(what.find(path), std::string::npos) << what;
   }
-  std::remove(path.c_str());
+}
+
+// A file that is not a framed store journal is refused at open and left
+// byte-for-byte as it was — whatever the shard count, since an open with
+// METACORE_STORE_SHARDS > 1 would otherwise migrate it.
+TEST(EvaluationStore, RejectsForeignFileDescriptively) {
+  const std::vector<std::string> inputs = {
+      "{\"magic\":\"something-else\",\"version\":1}\n",
+      kV1Header + kV1Record,
+  };
+  for (const std::string& bytes : inputs) {
+    SCOPED_TRACE(bytes);
+    const std::string path = temp_store_path("foreign.jsonl");
+    write_file(path, bytes);
+    expect_not_a_store(path, StoreConfig::from_env());
+    EXPECT_EQ(read_file(path), bytes);
+    std::remove(path.c_str());
+  }
+}
+
+// The rejection comes before any layout decision: at every shard count a
+// v1 store is refused, keeps its bytes, and gets no shard directory.
+TEST(EvaluationStore, RejectsV1StoreAtEveryShardCount) {
+  const std::string bytes = kV1Header + kV1Record;
+  for (const std::size_t shards : {1u, 2u, 4u}) {
+    SCOPED_TRACE(shards);
+    const std::string path = temp_store_path("v1_sharded.jsonl");
+    write_file(path, bytes);
+    StoreConfig config = StoreConfig::from_env();
+    config.shards = shards;
+    expect_not_a_store(path, config);
+    EXPECT_EQ(read_file(path), bytes);
+    EXPECT_FALSE(std::filesystem::exists(path + ".d"));
+    std::remove(path.c_str());
+  }
+}
+
+// A damaged v1 file is not taken for a journal with a crashed tail: no
+// part of it is read, truncated or rewritten.
+TEST(EvaluationStore, RejectsDamagedV1StoresWithoutTouchingThem) {
+  const std::vector<std::string> inputs = {
+      kV1Header,                            // header only
+      kV1Header + "this is not json\n",     // terminated garbage
+      kV1Header + kV1Record.substr(0, 40),  // torn last record
+  };
+  for (const std::string& bytes : inputs) {
+    SCOPED_TRACE(bytes);
+    const std::string path = temp_store_path("v1_damaged.jsonl");
+    write_file(path, bytes);
+    expect_not_a_store(path, single_file());
+    EXPECT_EQ(read_file(path), bytes);
+    std::remove(path.c_str());
+  }
 }
 
 TEST(EvaluationStore, ConcurrentReadersAndWriterAreSafe) {
@@ -968,6 +1081,230 @@ TEST(EvaluationStoreSearch, DifferentFingerprintsDoNotCrossContaminate) {
   const search::SearchResult b = engine_b.run();
   EXPECT_EQ(b.store_hits, 0u);
   EXPECT_EQ(calls_b.load(), calls_a.load());
+  std::remove(path.c_str());
+}
+
+// --- Resuming a search from the store: a killed search, rerun over the
+// reopened store, finishes exactly as an uninterrupted one would.
+
+/// Deterministic synthetic landscape: a smooth bowl plus a point-keyed
+/// pseudo-random BER-like metric, so the Bayesian pruning has evidence to
+/// accumulate.
+search::EvaluateFn landscape_eval(std::atomic<std::size_t>* calls) {
+  return [calls](const std::vector<double>& point, int fidelity) {
+    if (calls) calls->fetch_add(1);
+    double v = 0.0;
+    for (const double x : point) v += (x - 0.5) * (x - 0.5);
+    search::Evaluation e;
+    e.metrics["cost"] = v + 0.01 * fidelity;
+    const double noise =
+        static_cast<double>(util::CounterRng::at(
+            17, static_cast<std::uint64_t>(std::llround(v * 1e9)))) /
+        static_cast<double>(std::numeric_limits<std::uint64_t>::max());
+    e.metrics["ber"] = std::pow(10.0, -2.0 - 3.0 * noise - v);
+    e.confidence_weight = 10'000.0;
+    return e;
+  };
+}
+
+/// Evaluator that kills the search with an unguarded throw at its Nth call.
+search::EvaluateFn killing_eval(std::atomic<std::size_t>* calls,
+                                std::size_t kill_at) {
+  auto inner = landscape_eval(nullptr);
+  return [calls, kill_at, inner](const std::vector<double>& point,
+                                 int fidelity) {
+    if (calls->fetch_add(1) + 1 == kill_at) {
+      throw std::runtime_error("simulated crash");
+    }
+    return inner(point, fidelity);
+  };
+}
+
+search::DesignSpace landscape_space() { return bowl_space(3, 9); }
+
+search::Objective landscape_objective() {
+  search::Objective obj;
+  obj.minimize = "cost";
+  obj.constraints.push_back(
+      {search::Constraint::Kind::UpperBound, "ber", 1e-3});
+  return obj;
+}
+
+search::SearchConfig landscape_config() {
+  search::SearchConfig config;
+  config.max_resolution = 2;
+  config.regions_per_level = 3;
+  config.probabilistic_metric = "ber";
+  config.store_fingerprint = "landscape-3x9";
+  return config;
+}
+
+/// Runs one search on its own engine (no store unless `config` has one).
+search::SearchResult run_search(search::EvaluateFn evaluate,
+                                const search::SearchConfig& config) {
+  search::MultiresolutionSearch engine(
+      landscape_space(), landscape_objective(), std::move(evaluate), config);
+  return engine.run();
+}
+
+/// Same evaluations, winner, and history — metrics and failure reasons.
+void expect_same_search(const search::SearchResult& got,
+                        const search::SearchResult& want) {
+  EXPECT_EQ(got.evaluations, want.evaluations);
+  EXPECT_EQ(got.found_feasible, want.found_feasible);
+  EXPECT_EQ(got.best.indices, want.best.indices);
+  EXPECT_EQ(got.best.eval.metrics, want.best.eval.metrics);
+  ASSERT_EQ(got.history.size(), want.history.size());
+  for (std::size_t p = 0; p < got.history.size(); ++p) {
+    EXPECT_EQ(got.history[p].indices, want.history[p].indices);
+    EXPECT_EQ(got.history[p].eval.metrics, want.history[p].eval.metrics);
+    EXPECT_EQ(got.history[p].eval.failure_reason,
+              want.history[p].eval.failure_reason);
+  }
+}
+
+TEST(EvaluationStoreSearch, KilledSearchResumesFromTheStore) {
+  const std::string path = temp_store_path("resume.jsonl");
+  auto config = landscape_config();
+  config.guard_evaluations = false;  // let the crash propagate
+  exec::ThreadPool::set_global_threads(4);
+
+  std::atomic<std::size_t> ref_calls{0};
+  const auto reference = run_search(landscape_eval(&ref_calls), config);
+  ASSERT_GT(ref_calls.load(), 40u) << "landscape too small to kill mid-run";
+
+  // Killed past the halfway point: the levels that finished before the
+  // crash are in the store, the interrupted level's batch is not.
+  {
+    auto store = std::make_shared<EvaluationStore>(path);
+    config.store = store;
+    std::atomic<std::size_t> kill_calls{0};
+    EXPECT_THROW(
+        run_search(killing_eval(&kill_calls, ref_calls.load() / 2), config),
+        std::runtime_error);
+    config.store.reset();
+    ASSERT_GT(store->size(), 0u) << "no level completed before the crash";
+  }
+
+  // A fresh engine on the reopened store finishes without repeating the
+  // completed levels.
+  std::atomic<std::size_t> resume_calls{0};
+  config.store = std::make_shared<EvaluationStore>(path);
+  const auto resumed = run_search(landscape_eval(&resume_calls), config);
+  config.store.reset();
+
+  // Rerunning over the now complete store replays everything: zero calls.
+  std::atomic<std::size_t> replay_calls{0};
+  config.store = std::make_shared<EvaluationStore>(path);
+  const auto replayed = run_search(landscape_eval(&replay_calls), config);
+  config.store.reset();
+  exec::ThreadPool::set_global_threads(1);
+
+  expect_same_search(resumed, reference);
+  EXPECT_LT(resume_calls.load(), ref_calls.load())
+      << "the resumed search re-evaluated levels the store already held";
+  EXPECT_GT(resume_calls.load(), 0u);
+  expect_same_search(replayed, reference);
+  EXPECT_EQ(replay_calls.load(), 0u);
+  std::remove(path.c_str());
+}
+
+// Wherever the kill lands (on the first call, before anything is stored;
+// mid-search; on the last call) the resumed search finishes as the
+// uninterrupted one did, re-evaluating no more than that run did.
+TEST(EvaluationStoreSearch, ResumesAfterAKillAtAnyPoint) {
+  auto config = landscape_config();
+  config.guard_evaluations = false;  // let the crash propagate
+  exec::ThreadPool::set_global_threads(4);
+
+  std::atomic<std::size_t> ref_calls{0};
+  const auto reference = run_search(landscape_eval(&ref_calls), config);
+  const std::size_t total = ref_calls.load();
+  ASSERT_GT(total, 40u) << "landscape too small to kill mid-run";
+
+  for (const std::size_t kill_at :
+       {std::size_t{1}, total / 4, 3 * total / 4, total}) {
+    SCOPED_TRACE(kill_at);
+    const std::string path = temp_store_path("resume_any.jsonl");
+    config.store = std::make_shared<EvaluationStore>(path);
+    std::atomic<std::size_t> kill_calls{0};
+    EXPECT_THROW(run_search(killing_eval(&kill_calls, kill_at), config),
+                 std::runtime_error);
+    config.store.reset();
+
+    std::atomic<std::size_t> resume_calls{0};
+    config.store = std::make_shared<EvaluationStore>(path);
+    const auto resumed = run_search(landscape_eval(&resume_calls), config);
+    config.store.reset();
+
+    expect_same_search(resumed, reference);
+    if (kill_at == 1) {
+      // The first batch died whole: nothing was stored.
+      EXPECT_EQ(resume_calls.load(), total);
+    } else if (kill_at == total) {
+      // Only the last batch is missing.
+      EXPECT_LT(resume_calls.load(), total);
+    } else {
+      EXPECT_LE(resume_calls.load(), total);
+    }
+    std::remove(path.c_str());
+  }
+  exec::ThreadPool::set_global_threads(1);
+}
+
+TEST(EvaluationStoreSearch, GuardedFailuresReplayWithZeroCalls) {
+  const std::string path = temp_store_path("faulted.jsonl");
+  auto config = landscape_config();
+  robust::FaultInjectionConfig faults;
+  faults.invalid_point = 0.05;
+  faults.transient = 0.05;
+  exec::ThreadPool::set_global_threads(4);
+
+  robust::FaultInjector injector(landscape_eval(nullptr), faults);
+  config.store = std::make_shared<EvaluationStore>(path);
+  const auto original = run_search(injector.fn(), config);
+  config.store.reset();
+  ASSERT_GT(original.failures.total_faults(), 0u);
+
+  // The store holds every failure reason, so a clean evaluator replays the
+  // faulted search exactly. The failure counters are run-local: nothing
+  // was evaluated, so nothing failed in this run.
+  std::atomic<std::size_t> replay_calls{0};
+  config.store = std::make_shared<EvaluationStore>(path);
+  const auto replayed = run_search(landscape_eval(&replay_calls), config);
+  config.store.reset();
+  exec::ThreadPool::set_global_threads(1);
+
+  expect_same_search(replayed, original);
+  EXPECT_EQ(replay_calls.load(), 0u);
+  EXPECT_EQ(replayed.failures, robust::FailureCounters{});
+  std::remove(path.c_str());
+}
+
+TEST(EvaluationStoreSearch, OtherConfigurationKeepsItsOwnResult) {
+  const std::string path = temp_store_path("other_config.jsonl");
+  const auto config = landscape_config();
+  auto other = config;
+  other.max_resolution = config.max_resolution + 1;
+  exec::ThreadPool::set_global_threads(4);
+
+  const auto other_cold = run_search(landscape_eval(nullptr), other);
+
+  auto warm = config;
+  warm.store = std::make_shared<EvaluationStore>(path);
+  (void)run_search(landscape_eval(nullptr), warm);
+
+  // The store is scoped to the evaluator, not to the search configuration:
+  // the other search reuses what it shares and still walks its own
+  // trajectory.
+  other.store = warm.store;
+  const auto other_warm = run_search(landscape_eval(nullptr), other);
+  warm.store.reset();
+  other.store.reset();
+  exec::ThreadPool::set_global_threads(1);
+
+  expect_same_search(other_warm, other_cold);
+  EXPECT_GT(other_warm.store_hits, 0u);
   std::remove(path.c_str());
 }
 
