@@ -1,6 +1,7 @@
 #include "net/server.hpp"
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
@@ -114,6 +115,7 @@ std::string to_json(const ServerStats& stats) {
   std::ostringstream os;
   os << "{\"accepted_connections\":" << stats.accepted_connections
      << ",\"refused_connections\":" << stats.refused_connections
+     << ",\"shed_connections\":" << stats.shed_connections
      << ",\"active_connections\":" << stats.active_connections
      << ",\"queries_received\":" << stats.queries_received
      << ",\"queries_served\":" << stats.queries_served
@@ -260,6 +262,7 @@ void DesignServer::start() {
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev);
   ev.data.u64 = kWakeTag;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev);
+  reserve_fd_ = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
 
   {
     std::lock_guard<std::mutex> lock(lifecycle_mutex_);
@@ -423,6 +426,10 @@ void DesignServer::io_loop() {
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
+  if (reserve_fd_ >= 0) {
+    ::close(reserve_fd_);
+    reserve_fd_ = -1;
+  }
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     stats_.active_connections = 0;
@@ -439,8 +446,9 @@ void DesignServer::accept_ready() {
     const int fd = ::accept4(listen_fd_, nullptr, nullptr,
                              SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (fd < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) return;
-      return;  // transient accept failure; the listener stays armed
+      if ((errno == EMFILE || errno == ENFILE) && shed_connection()) continue;
+      // Drained (EAGAIN), or a transient failure: the listener stays armed.
+      return;
     }
     if (connections_.size() >= config_.max_connections) {
       ::close(fd);
@@ -466,6 +474,25 @@ void DesignServer::accept_ready() {
     ++stats_.accepted_connections;
     stats_.active_connections = connections_.size();
   }
+}
+
+bool DesignServer::shed_connection() {
+  // Out of descriptors, accept4 fails while the connection stays queued,
+  // and the level-triggered listener would wake the loop again at once.
+  // The reserve fd makes room to accept the connection and close it: the
+  // client reads end-of-stream instead of hanging, and the loop sleeps.
+  if (reserve_fd_ < 0) {
+    reserve_fd_ = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+    if (reserve_fd_ < 0) return false;
+  }
+  ::close(reserve_fd_);
+  const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
+  if (fd >= 0) ::close(fd);
+  reserve_fd_ = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return false;  // nothing queued after all
+  std::lock_guard<std::mutex> lock(stats_mutex_);
+  ++stats_.shed_connections;
+  return true;
 }
 
 void DesignServer::connection_readable(Connection& conn) {

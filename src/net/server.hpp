@@ -112,6 +112,9 @@ struct ServerStats {
   std::size_t accepted_connections = 0;
   /// Connections closed at accept because max_connections were open.
   std::size_t refused_connections = 0;
+  /// Connections accepted and closed at once because the process was out
+  /// of file descriptors (EMFILE/ENFILE); their clients read end-of-stream.
+  std::size_t shed_connections = 0;
   std::size_t active_connections = 0;
   std::size_t queries_received = 0;  ///< well-formed query frames
   std::size_t queries_served = 0;    ///< ok responses queued for write
@@ -197,6 +200,7 @@ class DesignServer {
   /// searches, the fast lane (last worker) for archive_only.
   std::size_t route_query(const serve::DesignQuery& query) const;
   void accept_ready();
+  bool shed_connection();
   void connection_readable(Connection& conn);
   void connection_writable(Connection& conn);
   void handle_frame(Connection& conn, const Frame& frame);
@@ -224,6 +228,9 @@ class DesignServer {
   int listen_fd_ = -1;
   int epoll_fd_ = -1;
   int wake_fd_ = -1;
+  /// An fd held back so that, out of descriptors, the I/O thread can still
+  /// accept a pending connection in order to close it (shed_connection).
+  int reserve_fd_ = -1;
 
   std::thread io_thread_;
   std::atomic<bool> running_{false};

@@ -2,19 +2,23 @@
 
 #include <algorithm>
 #include <bit>
+#include <charconv>
 #include <cmath>
 #include <compare>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <mutex>
+#include <ranges>
 #include <set>
 #include <span>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
 
+#include "robust/failpoint.hpp"
 #include "robust/json.hpp"
 
 namespace metacore::serve {
@@ -43,29 +47,28 @@ bool bits_equal(double a, double b) {
 /// these names (most of one evaluator's evaluations do).
 using MetricNames = std::vector<std::string>;
 
-/// The process-wide interned copy of `metrics`' name list. Lists live for
-/// the process (one per distinct name set ever stored), so a record holds
-/// a plain pointer and two records share a list iff their names match.
-const MetricNames* intern_metric_names(
-    const std::map<std::string, double>& metrics) {
-  const auto same_names = [&metrics](const MetricNames& names) {
-    return names.size() == metrics.size() &&
-           std::equal(names.begin(), names.end(), metrics.begin(),
-                      [](const std::string& name, const auto& metric) {
-                        return name == metric.first;
-                      });
-  };
-  // Fast path: consecutive records almost always share their names.
-  thread_local const MetricNames* last = nullptr;
-  if (last != nullptr && same_names(*last)) return last;
-
-  MetricNames names;
-  names.reserve(metrics.size());
-  for (const auto& [name, value] : metrics) names.push_back(name);
+/// The interned list equal to `names`. Lists live for the process (one per
+/// distinct name set ever stored), so a record holds a plain pointer and
+/// two records share a list iff their names match.
+const MetricNames* intern_metric_list(MetricNames names) {
   static std::mutex mutex;
   static auto* interned = new std::set<MetricNames>;  // never freed
   std::lock_guard<std::mutex> lock(mutex);
-  last = &*interned->insert(std::move(names)).first;
+  return &*interned->insert(std::move(names)).first;
+}
+
+/// The interned copy of the name list `names` (a sized range of strings or
+/// string views, in metric order). One set serves record() and both load
+/// parsers, so records from any of them share a list iff their names match.
+template <typename Names>
+const MetricNames* intern_metric_names(const Names& names) {
+  // Fast path: consecutive records almost always share their names.
+  thread_local const MetricNames* last = nullptr;
+  if (last != nullptr && std::ranges::equal(*last, names)) return last;
+  MetricNames list;
+  list.reserve(std::ranges::size(names));
+  for (const auto& name : names) list.emplace_back(name);
+  last = intern_metric_list(std::move(list));
   return last;
 }
 
@@ -82,12 +85,22 @@ struct PackedEval {
 
 PackedEval pack(const search::Evaluation& eval) {
   PackedEval packed;
-  packed.names = intern_metric_names(eval.metrics);
+  packed.names = intern_metric_names(std::views::keys(eval.metrics));
   packed.values.reserve(eval.metrics.size());
   for (const auto& [name, value] : eval.metrics) packed.values.push_back(value);
   packed.failure_reason = eval.failure_reason;
   packed.confidence_weight = eval.confidence_weight;
   packed.feasible = eval.feasible;
+  return packed;
+}
+
+PackedEval pack(const detail::StorePayload& payload) {
+  PackedEval packed;
+  packed.names = intern_metric_names(payload.metric_names);
+  packed.values = payload.metric_values;
+  packed.failure_reason = payload.failure_reason;
+  packed.confidence_weight = payload.confidence_weight;
+  packed.feasible = payload.feasible;
   return packed;
 }
 
@@ -170,16 +183,28 @@ struct EntryTable {
     return it == points->end() ? nullptr : &it->second;
   }
 
+  /// The scope of `fingerprint` with its key, created empty if absent.
+  std::pair<const std::string, Scope>& scope_slot(
+      std::string_view fingerprint) {
+    auto it = scopes.find(fingerprint);
+    if (it == scopes.end()) {
+      it = scopes.emplace(std::string(fingerprint), Scope{}).first;
+    }
+    return *it;
+  }
+
   /// The record under the key and whether this call created it (empty,
   /// for the caller to fill) because the key was not held yet.
   std::pair<PackedEval*, bool> slot(std::string_view fingerprint,
                                     std::span<const int> indices,
                                     int fidelity) {
-    auto scope_it = scopes.find(fingerprint);
-    if (scope_it == scopes.end()) {
-      scope_it = scopes.emplace(std::string(fingerprint), Scope{}).first;
-    }
-    Scope& points = scope_it->second;
+    return point_slot(scope_slot(fingerprint).second, indices, fidelity);
+  }
+
+  /// slot() within an already looked-up scope of this table.
+  std::pair<PackedEval*, bool> point_slot(Scope& points,
+                                          std::span<const int> indices,
+                                          int fidelity) {
     const PointRef key{indices, fidelity};
     auto it = points.lower_bound(key);
     if (it != points.end() && !PointLess{}(key, it->first)) {
@@ -255,25 +280,111 @@ std::string payload_for(const std::string& fingerprint,
   return os.str();
 }
 
+/// Cursor over one payload for parse_payload_direct: each step consumes
+/// exactly what the writer puts at that point, or fails.
+class PayloadCursor {
+ public:
+  explicit PayloadCursor(std::string_view text)
+      : at_(text.data()), end_(text.data() + text.size()) {}
+
+  bool done() const { return at_ == end_; }
+
+  bool next(char c) {
+    if (at_ == end_ || *at_ != c) return false;
+    ++at_;
+    return true;
+  }
+
+  bool literal(std::string_view token) {
+    if (static_cast<std::size_t>(end_ - at_) < token.size() ||
+        std::memcmp(at_, token.data(), token.size()) != 0) {
+      return false;
+    }
+    at_ += token.size();
+    return true;
+  }
+
+  /// A string literal without escapes, as a view of its bytes.
+  bool string(std::string_view& out) {
+    if (!next('"')) return false;
+    const std::size_t left = static_cast<std::size_t>(end_ - at_);
+    const auto* close = static_cast<const char*>(std::memchr(at_, '"', left));
+    if (close == nullptr) return false;
+    const std::size_t size = static_cast<std::size_t>(close - at_);
+    if (std::memchr(at_, '\\', size) != nullptr) return false;
+    out = std::string_view(at_, size);
+    at_ = close + 1;
+    return true;
+  }
+
+  bool integer(int& out) {
+    const auto [stop, ec] = std::from_chars(at_, end_, out);
+    if (ec != std::errc{}) return false;
+    at_ = stop;
+    return true;
+  }
+
+  /// A double as write_double spells it, read to the value parse_json
+  /// gives: correctly rounded like strtod, non-finite tokens mapped alike.
+  bool number(double& out) {
+    const char* digit = at_ != end_ && *at_ == '-' ? at_ + 1 : at_;
+    if (digit != end_ && *digit >= '0' && *digit <= '9') {
+      // Out of range (1e400, 1e-400) is declined: strtod saturates or
+      // flushes those, and the general path keeps that behaviour.
+      const auto [stop, ec] = std::from_chars(at_, end_, out);
+      if (ec != std::errc{}) return false;
+      at_ = stop;
+      return true;
+    }
+    // Only the writer's own non-finite tokens: from_chars would also take
+    // spellings (infinity, -nan, NAN) that parse_json reads differently or
+    // not at all.
+    if (literal("nan")) {
+      out = std::nan("");
+      return true;
+    }
+    if (literal("inf")) {
+      out = HUGE_VAL;
+      return true;
+    }
+    if (literal("-inf")) {
+      out = -HUGE_VAL;
+      return true;
+    }
+    return false;
+  }
+
+ private:
+  const char* at_;
+  const char* end_;
+};
+
 /// One journal file replayed into memory: entries, load accounting, and
 /// what the load decided about the file's future.
 struct FileLoad {
   EntryTable entries;
   StoreStats stats;          // journal_records / duplicates / skips / tail
   bool fresh_start = false;  ///< the file starts empty (absent or header-torn)
+  /// The scope of the last merged record (a node of `entries`): journals
+  /// hold each scope's records in runs, so it is looked up once per run.
+  std::pair<const std::string, Scope>* last_scope = nullptr;
 };
 
-void merge_record(FileLoad& load, const std::string& fingerprint,
-                  const EvalRecord& rec) {
+void merge_record(FileLoad& load, std::string_view fingerprint,
+                  std::span<const int> indices, int fidelity,
+                  PackedEval packed) {
   ++load.stats.journal_records;
+  if (load.last_scope == nullptr || load.last_scope->first != fingerprint) {
+    load.last_scope = &load.entries.scope_slot(fingerprint);
+  }
   auto [entry, inserted] =
-      load.entries.slot(fingerprint, rec.indices, rec.fidelity);
+      load.entries.point_slot(load.last_scope->second, indices, fidelity);
   if (inserted) {
-    *entry = pack(rec.eval);
+    *entry = std::move(packed);
     return;
   }
   ++load.stats.duplicate_records;
-  if (!eval_equal(*entry, pack(rec.eval))) {
+  if (!eval_equal(*entry, packed)) {
     ++load.stats.divergent_duplicates;
   }
 }
@@ -296,19 +407,17 @@ void load_framed(FileLoad& load, const std::string& path,
   load.stats.skipped_records = framed.skipped_records;
   load.stats.skip_reasons = std::move(framed.skip_reasons);
 
+  detail::StorePayload direct;
   for (std::size_t i = 0; i < framed.records.size(); ++i) {
     const std::string& payload = framed.records[i];
-    std::string fingerprint;
-    EvalRecord rec;
+    if (detail::parse_payload_direct(payload, direct)) {
+      merge_record(load, direct.fingerprint, direct.indices, direct.fidelity,
+                   pack(direct));
+      continue;
+    }
+    std::pair<std::string, EvalRecord> entry;
     try {
-      const robust::JsonValue entry = robust::parse_json(payload, kWhat);
-      fingerprint = robust::require(entry, "fingerprint",
-                                    robust::JsonValue::Type::String, kWhat)
-                        .string;
-      rec = parse_eval_record(
-          robust::require(entry, "record", robust::JsonValue::Type::Object,
-                          kWhat),
-          kWhat);
+      entry = detail::parse_payload_json(payload);
     } catch (const std::runtime_error& e) {
       // CRC-clean but unparseable: a writer bug or schema drift, not bit
       // rot. Skipped with a reason like any other damaged record.
@@ -317,23 +426,46 @@ void load_framed(FileLoad& load, const std::string& path,
                                 e.what());
       continue;
     }
-    merge_record(load, fingerprint, rec);
+    const EvalRecord& rec = entry.second;
+    merge_record(load, entry.first, rec.indices, rec.fidelity,
+                 pack(rec.eval));
   }
 }
 
+/// The whole file at `path` in one sized read; empty when the file cannot
+/// be opened (absent: a fresh store). A short read or a stream error
+/// throws robust::JournalIoError naming the path — replayed, a partial
+/// read would look like a crashed tail, and the recovery rewrite would
+/// drop every record past it.
+std::string read_journal_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return {};
+  std::error_code ec;
+  const std::uintmax_t size = std::filesystem::file_size(path, ec);
+  if (ec) {
+    throw robust::JournalIoError("store: cannot read " + path + ": " +
+                                 ec.message());
+  }
+  std::string text(static_cast<std::size_t>(size), '\0');
+  // An injected I/O error stands in for a read that stops halfway.
+  const bool cut_short = robust::failpoint("store.journal.read").io_error;
+  in.read(text.data(),
+          static_cast<std::streamsize>(cut_short ? size / 2 : size));
+  const auto got = static_cast<std::uintmax_t>(in.gcount());
+  if (got != size) {
+    throw robust::JournalIoError("store: short read of " + path + ": " +
+                                 std::to_string(got) + " of " +
+                                 std::to_string(size) + " bytes");
+  }
+  return text;
+}
+
 /// Replays one journal at `path` (absent file => fresh). Throws
-/// std::runtime_error on header-level problems only.
+/// robust::JournalIoError when the file cannot be read whole, and
+/// std::runtime_error on header-level problems.
 FileLoad load_journal_file(const std::string& path) {
   FileLoad load;
-  std::string text;
-  {
-    std::ifstream in(path, std::ios::binary);
-    if (in) {
-      std::ostringstream buf;
-      buf << in.rdbuf();
-      text = buf.str();
-    }
-  }
+  const std::string text = read_journal_bytes(path);
 
   if (text.empty()) {
     load.fresh_start = true;
@@ -392,6 +524,78 @@ void write_eval_record(std::ostream& os, const EvalRecord& rec) {
   }
   os << "}}";
 }
+
+namespace detail {
+
+bool parse_payload_direct(std::string_view payload, StorePayload& out) {
+  PayloadCursor in(payload);
+  out.indices.clear();
+  out.metric_names.clear();
+  out.metric_values.clear();
+  if (!in.literal("{\"fingerprint\":") || !in.string(out.fingerprint) ||
+      !in.literal(",\"record\":{\"indices\":[")) {
+    return false;
+  }
+  if (!in.next(']')) {
+    do {
+      int index = 0;
+      if (!in.integer(index)) return false;
+      out.indices.push_back(index);
+    } while (in.next(','));
+    if (!in.next(']')) return false;
+  }
+  if (!in.literal(",\"fidelity\":") || !in.integer(out.fidelity) ||
+      !in.literal(",\"feasible\":")) {
+    return false;
+  }
+  if (in.literal("true")) {
+    out.feasible = true;
+  } else if (in.literal("false")) {
+    out.feasible = false;
+  } else {
+    return false;
+  }
+  if (!in.literal(",\"confidence_weight\":") ||
+      !in.number(out.confidence_weight) ||
+      !in.literal(",\"failure_reason\":") ||
+      !in.string(out.failure_reason) || !in.literal(",\"metrics\":{")) {
+    return false;
+  }
+  if (!in.next('}')) {
+    do {
+      std::string_view name;
+      double value = 0.0;
+      if (!in.string(name) || !in.next(':') || !in.number(value)) {
+        return false;
+      }
+      // Strictly ascending is the writer's std::map order; it also rules
+      // out a repeated name, which parse_payload_json would resolve.
+      if (!out.metric_names.empty() && !(out.metric_names.back() < name)) {
+        return false;
+      }
+      out.metric_names.push_back(name);
+      out.metric_values.push_back(value);
+    } while (in.next(','));
+    if (!in.next('}')) return false;
+  }
+  return in.literal("}}") && in.done();
+}
+
+std::pair<std::string, EvalRecord> parse_payload_json(
+    const std::string& payload) {
+  const robust::JsonValue entry = robust::parse_json(payload, kWhat);
+  std::string fingerprint =
+      robust::require(entry, "fingerprint", robust::JsonValue::Type::String,
+                      kWhat)
+          .string;
+  EvalRecord rec = parse_eval_record(
+      robust::require(entry, "record", robust::JsonValue::Type::Object,
+                      kWhat),
+      kWhat);
+  return {std::move(fingerprint), std::move(rec)};
+}
+
+}  // namespace detail
 
 std::uint64_t fingerprint_hash(std::string_view fingerprint) noexcept {
   // FNV-1a, 64-bit: stable pure byte arithmetic — the shard (and dispatch
@@ -574,6 +778,8 @@ void EvaluationStore::load_shard_in_place(Shard& shard) {
   FileLoad load;
   try {
     load = load_journal_file(shard.path);
+  } catch (const robust::JournalIoError&) {
+    throw;  // the file could not be read: nothing is known to be wrong
   } catch (const std::runtime_error& e) {
     if (shards_.size() == 1) throw;
     // A header-corrupt shard must not take the whole corpus down: rename
@@ -629,6 +835,8 @@ void EvaluationStore::migrate_layout(const std::vector<std::string>& sources) {
     FileLoad load;
     try {
       load = load_journal_file(source);
+    } catch (const robust::JournalIoError&) {
+      throw;
     } catch (const std::runtime_error& e) {
       if (source == path_) throw;  // single-file semantics stay strict
       std::error_code ec;

@@ -5,6 +5,10 @@
 // CRC32C-guarded, length-prefixed frame per evaluation, keyed by (evaluator
 // fingerprint, grid indices, fidelity). Payloads are JSON in the
 // write_eval_record schema below, so stored doubles round-trip bit-exactly.
+// Open reads each journal with one sized read and parses every payload the
+// writer produced with a direct parser (detail::parse_payload_direct);
+// anything else goes through the general JSON path, which alone decides
+// what is accepted or skipped and with which reason.
 //
 // The store is also how a search resumes: a search killed mid-run has
 // recorded every level it finished, and a rerun over the reopened store
@@ -74,6 +78,7 @@
 #include <string>
 #include <string_view>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "robust/journal.hpp"
@@ -99,6 +104,45 @@ struct EvalRecord {
 /// precision and non-finite values as the bare tokens inf/-inf/nan
 /// (robust/json.hpp), so the store reads every field back bit-exactly.
 void write_eval_record(std::ostream& os, const EvalRecord& rec);
+
+namespace detail {
+
+/// One journal payload in the store's own layout, parsed in place: strings
+/// are views into the payload bytes, metric names are in ascending order.
+/// The buffers are reused from one parse to the next.
+struct StorePayload {
+  std::string_view fingerprint;
+  std::vector<int> indices;
+  int fidelity = 0;
+  bool feasible = true;
+  double confidence_weight = 1.0;
+  std::string_view failure_reason;
+  std::vector<std::string_view> metric_names;
+  std::vector<double> metric_values;  ///< metric_values[i] is metric_names[i]
+};
+
+/// The load path's direct parser. Accepts exactly the bytes the store's
+/// writer emits:
+///   {"fingerprint":"…","record":{"indices":[…],"fidelity":N,
+///    "feasible":true|false,"confidence_weight":X,"failure_reason":"…",
+///    "metrics":{…}}}
+/// with no whitespace, strings without escapes, strictly ascending metric
+/// names, integers and doubles in std::from_chars syntax (plus the bare
+/// tokens nan/inf/-inf, read as parse_json reads them), and nothing after
+/// the closing brace. Returns false ("not mine") on any other byte, and
+/// `out` is then unspecified; the caller falls back to
+/// parse_payload_json. Whenever it returns true, parse_payload_json
+/// accepts the same bytes and yields bit-identical fields.
+bool parse_payload_direct(std::string_view payload, StorePayload& out);
+
+/// The general path for payloads the direct parser declines:
+/// robust::parse_json plus the record schema check. Returns the
+/// fingerprint and the record; throws std::runtime_error (prefixed
+/// "store") on a payload that is not an evaluation record.
+std::pair<std::string, EvalRecord> parse_payload_json(
+    const std::string& payload);
+
+}  // namespace detail
 
 /// Stable 64-bit FNV-1a over the fingerprint bytes: the routing hash that
 /// assigns an evaluator scope to a store shard — and, in the networked

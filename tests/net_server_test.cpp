@@ -2,16 +2,20 @@
 // socket answers byte-identical to in-process DesignService answers,
 // multiplexed out-of-order responses, malformed/oversized-frame survival,
 // overload rejection under a tiny admission quota, graceful drain with
-// queries in flight, survival of clients that vanish mid-query, and the
-// refusal count for connections over the cap.
+// queries in flight, survival of clients that vanish mid-query, the
+// refusal count for connections over the cap, and counted shedding when
+// the process is out of file descriptors.
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -653,6 +657,106 @@ TEST(DesignServer, ConnectionsUnderTheCapAreNotCountedAsRefused) {
   ASSERT_TRUE(response.ok()) << response.reason;
   EXPECT_EQ(server.stats().refused_connections, 0u);
   EXPECT_EQ(server.stats().accepted_connections, 4u);
+  server.shutdown();
+}
+
+/// Lowers this process's soft RLIMIT_NOFILE and puts the old limit back on
+/// every exit from the scope.
+class ScopedFdLimit {
+ public:
+  explicit ScopedFdLimit(rlim_t soft) {
+    if (::getrlimit(RLIMIT_NOFILE, &saved_) != 0) return;
+    rlimit lowered = saved_;
+    lowered.rlim_cur = std::min(soft, saved_.rlim_cur);
+    lowered_ = ::setrlimit(RLIMIT_NOFILE, &lowered) == 0;
+  }
+  ~ScopedFdLimit() {
+    if (lowered_) ::setrlimit(RLIMIT_NOFILE, &saved_);
+  }
+  ScopedFdLimit(const ScopedFdLimit&) = delete;
+  ScopedFdLimit& operator=(const ScopedFdLimit&) = delete;
+  bool lowered() const { return lowered_; }
+
+ private:
+  rlimit saved_{};
+  bool lowered_ = false;
+};
+
+/// Descriptors closed on every exit from the scope.
+struct ScopedFds {
+  std::vector<int> fds;
+  ~ScopedFds() {
+    for (const int fd : fds) ::close(fd);
+  }
+};
+
+/// The highest descriptor number this process has open.
+int highest_open_fd() {
+  int highest = 2;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    highest = std::max(highest, std::stoi(entry.path().filename().string()));
+  }
+  return highest;
+}
+
+// Out of file descriptors, the server sheds a pending connection instead
+// of spinning on its readable listener: the client reads end-of-stream
+// within 2 s, the shed is counted in ServerStats and the stats reply, and
+// connections made before keep being served.
+TEST(DesignServer, FdExhaustionShedsPendingConnectionsAndCountsThem) {
+  auto service = std::make_shared<serve::DesignService>();
+  DesignServer server(service, loopback_config());
+  server.start();
+  DesignClient steady;
+  steady.connect("127.0.0.1", server.port());
+  ASSERT_TRUE(
+      wait_until([&] { return server.stats().accepted_connections == 1; }));
+
+  ssize_t got = -1;
+  {
+    ScopedFdLimit limit(static_cast<rlim_t>(highest_open_fd()) + 1 + 8);
+    ASSERT_TRUE(limit.lowered());
+    // Take every descriptor left under the limit, then give one back for
+    // the client socket: the server has none left to accept it with.
+    ScopedFds filler;
+    for (int fd; (fd = ::open("/dev/null", O_RDONLY | O_CLOEXEC)) >= 0;) {
+      filler.fds.push_back(fd);
+    }
+    ASSERT_EQ(errno, EMFILE);
+    ASSERT_FALSE(filler.fds.empty());
+    ::close(filler.fds.back());
+    filler.fds.pop_back();
+
+    ScopedFds client;
+    const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    ASSERT_GE(fd, 0);
+    client.fds.push_back(fd);
+    timeval timeout{};
+    timeout.tv_sec = 2;
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(static_cast<std::uint16_t>(server.port()));
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                        sizeof(addr)),
+              0);
+    char byte = 0;
+    got = ::recv(fd, &byte, 1, 0);
+  }
+  EXPECT_EQ(got, 0) << "no end-of-stream within 2 s while out of fds";
+  ASSERT_TRUE(
+      wait_until([&] { return server.stats().shed_connections >= 1; }, 5s));
+
+  const WireResponse response = steady.stats();
+  ASSERT_TRUE(response.ok()) << response.reason;
+  const std::string key = "\"shed_connections\":";
+  const std::size_t at = response.stats_json.find(key);
+  ASSERT_NE(at, std::string::npos) << response.stats_json;
+  EXPECT_GE(std::stoul(response.stats_json.substr(at + key.size())), 1u)
+      << response.stats_json;
+  EXPECT_EQ(server.stats().accepted_connections, 1u);
   server.shutdown();
 }
 

@@ -1,7 +1,8 @@
 // Tests for the persistent content-addressed evaluation store: framed
 // journal round-trip fidelity, load-time and manual compaction, crash-tail
 // recovery, the corruption policy (per-record CRC skip with counted
-// reasons; header-level problems, v1 stores included, reject), divergent
+// reasons; header-level problems, v1 stores included, reject), the direct
+// payload parser against the general JSON path, divergent
 // duplicate detection, concurrent reader/writer discipline, the
 // cold-search/warm-search equivalence the design-query service builds on,
 // and resuming a killed search from the store.
@@ -16,16 +17,19 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/iir_metacore.hpp"
 #include "exec/thread_pool.hpp"
 #include "robust/fault_injection.hpp"
 #include "robust/journal.hpp"
+#include "robust/json.hpp"
 #include "search/multires_search.hpp"
 #include "serve/store.hpp"
 #include "util/rng.hpp"
@@ -288,6 +292,379 @@ TEST(EvaluationStore, PackedRecordsRoundTripIirEvaluationsBitExactly) {
   EvaluationStore compacted(path, single_file());
   EXPECT_EQ(compacted.stats().journal_records, entries.size());
   expect_all(compacted, "compaction snapshot");
+  std::remove(path.c_str());
+}
+
+// --- The load path's direct parser against the general JSON path.
+
+/// The payloads the store journaled, in file order: the writer's own bytes.
+std::vector<std::string> journal_payloads(const std::string& path) {
+  return robust::read_journal_text(read_file(path), "test").records;
+}
+
+/// Runs both load parsers on `payload` and returns whether the direct one
+/// took it. When it did, the general path must accept the same bytes and
+/// agree on every field, doubles by bit pattern.
+bool direct_agrees_with_json(const std::string& payload,
+                             const std::string& label) {
+  detail::StorePayload direct;
+  if (!detail::parse_payload_direct(payload, direct)) return false;
+  std::pair<std::string, EvalRecord> general;
+  try {
+    general = detail::parse_payload_json(payload);
+  } catch (const std::runtime_error& e) {
+    ADD_FAILURE() << label << ": direct parser accepted what the JSON path "
+                  << "rejects (" << e.what() << "): " << payload;
+    return true;
+  }
+  const auto& [fingerprint, rec] = general;
+  EXPECT_EQ(direct.fingerprint, fingerprint) << label;
+  EXPECT_EQ(direct.indices, rec.indices) << label;
+  EXPECT_EQ(direct.fidelity, rec.fidelity) << label;
+  search::Evaluation eval;
+  eval.feasible = direct.feasible;
+  eval.confidence_weight = direct.confidence_weight;
+  eval.failure_reason = std::string(direct.failure_reason);
+  for (std::size_t i = 0; i < direct.metric_names.size(); ++i) {
+    eval.metrics.emplace_hint(eval.metrics.end(),
+                              std::string(direct.metric_names[i]),
+                              direct.metric_values[i]);
+  }
+  EXPECT_EQ(eval.metrics.size(), direct.metric_names.size()) << label;
+  expect_bit_identical(eval, rec.eval, label + ": " + payload);
+  return true;
+}
+
+/// A store payload as the raw JSON text of each value, joined in the
+/// writer's layout unless a mutation changes the order or the spacing.
+struct PayloadTokens {
+  std::string fingerprint;
+  std::vector<std::string> indices;
+  std::string fidelity;
+  std::string feasible;
+  std::string confidence_weight;
+  std::string failure_reason;
+  std::vector<std::pair<std::string, std::string>> metrics;
+  /// Order of the six record members (0 indices ... 5 metrics).
+  std::vector<int> member_order{0, 1, 2, 3, 4, 5};
+  bool record_first = false;  ///< "record" before "fingerprint"
+  std::string space;          ///< written after every ':' and ','
+
+  std::string join() const {
+    const auto list = [&](const std::vector<std::string>& items) {
+      std::string out;
+      for (std::size_t i = 0; i < items.size(); ++i) {
+        out += (i ? "," + space : "") + items[i];
+      }
+      return out;
+    };
+    std::vector<std::string> metric_items;
+    for (const auto& [name, value] : metrics) {
+      metric_items.push_back(name + ":" + space + value);
+    }
+    const std::string members[] = {
+        "\"indices\":" + space + "[" + list(indices) + "]",
+        "\"fidelity\":" + space + fidelity,
+        "\"feasible\":" + space + feasible,
+        "\"confidence_weight\":" + space + confidence_weight,
+        "\"failure_reason\":" + space + failure_reason,
+        "\"metrics\":" + space + "{" + list(metric_items) + "}"};
+    std::vector<std::string> record;
+    for (const int m : member_order) record.push_back(members[m]);
+    const std::string fp = "\"fingerprint\":" + space + fingerprint;
+    const std::string rec = "\"record\":" + space + "{" + list(record) + "}";
+    return "{" + (record_first ? rec + "," + space + fp
+                               : fp + "," + space + rec) +
+           "}";
+  }
+};
+
+PayloadTokens tokens_of(const std::string& fingerprint, const EvalRecord& rec) {
+  const auto text = [](auto write) {
+    std::ostringstream os;
+    write(os);
+    return os.str();
+  };
+  PayloadTokens t;
+  t.fingerprint =
+      text([&](std::ostream& os) { robust::write_escaped(os, fingerprint); });
+  for (const int i : rec.indices) t.indices.push_back(std::to_string(i));
+  t.fidelity = std::to_string(rec.fidelity);
+  t.feasible = rec.eval.feasible ? "true" : "false";
+  t.confidence_weight = text([&](std::ostream& os) {
+    robust::write_double(os, rec.eval.confidence_weight);
+  });
+  t.failure_reason = text([&](std::ostream& os) {
+    robust::write_escaped(os, rec.eval.failure_reason);
+  });
+  for (const auto& [name, value] : rec.eval.metrics) {
+    t.metrics.emplace_back(
+        text([&](std::ostream& os) { robust::write_escaped(os, name); }),
+        text([&](std::ostream& os) { robust::write_double(os, value); }));
+  }
+  return t;
+}
+
+/// Records whose bytes the direct parser must take, plus the ones it must
+/// leave to the JSON path: the record EvalRecord.WriteEvalRecordBytesArePinned
+/// pins, and the IIR evaluations of
+/// PackedRecordsRoundTripIirEvaluationsBitExactly.
+struct PayloadCorpus {
+  std::vector<std::pair<std::string, EvalRecord>> direct;
+  /// Writer output with an escape in a string: declined by design.
+  std::vector<std::pair<std::string, EvalRecord>> escaped;
+};
+
+PayloadCorpus payload_corpus() {
+  PayloadCorpus corpus;
+  EvalRecord pinned;
+  pinned.indices = {3, 1};
+  pinned.fidelity = 2;
+  pinned.eval.feasible = false;
+  pinned.eval.confidence_weight = 3.0517578125e-05;
+  pinned.eval.failure_reason = "invalid-point: \"quoted\"\n\ttabbed \\ slash";
+  pinned.eval.metrics = {{"cost", 0.1 + 0.2},
+                         {"inf", std::numeric_limits<double>::infinity()},
+                         {"nan", std::numeric_limits<double>::quiet_NaN()},
+                         {"tiny", 4.9406564584124654e-324},
+                         {"zero", -0.0}};
+  corpus.escaped.emplace_back("fp-pinned", pinned);
+  // The same doubles without the escaped reason: inf, nan, denormal, -0.
+  EvalRecord plain = pinned;
+  plain.fidelity = 3;
+  plain.eval.failure_reason = "invalid-point: unquoted";
+  plain.eval.metrics["ninf"] = -std::numeric_limits<double>::infinity();
+  corpus.direct.emplace_back("fp-pinned", plain);
+  EvalRecord empty;  // no indices, no metrics, feasible, weight 1
+  corpus.direct.emplace_back("fp-empty", empty);
+
+  const core::IirMetaCore iir(core::paper_bandpass_requirements(1.0));
+  const search::DesignSpace space = iir.design_space();
+  const search::EvaluateFn evaluate = iir.evaluator();
+  const std::string iir_fp = iir.evaluation_fingerprint();
+  const std::size_t first_iir = corpus.direct.size();
+  for (const std::vector<int>& indices :
+       {std::vector<int>{5, 0, 10, 0, 0}, std::vector<int>{5, 1, 10, 1, 0},
+        std::vector<int>{0, 0, 10, 0, 0}, std::vector<int>{5, 0, 0, 0, 0}}) {
+    for (const int fidelity : {0, 1}) {
+      EvalRecord rec;
+      rec.indices = indices;
+      rec.fidelity = fidelity;
+      rec.eval = evaluate(space.values_at(indices), fidelity);
+      corpus.direct.emplace_back(iir_fp, rec);
+    }
+  }
+  // The guarded failure of the packed-record test: the first (feasible)
+  // design's metrics plus -0, a denormal and inf.
+  EvalRecord failed = corpus.direct[first_iir].second;
+  failed.indices = {1, 2};
+  failed.fidelity = 3;
+  failed.eval.feasible = false;
+  failed.eval.failure_reason = "non-convergence: schedule_block: \"quoted\"\n";
+  failed.eval.confidence_weight = 3.0517578125e-05;
+  failed.eval.metrics["stable"] = -0.0;
+  failed.eval.metrics["registers"] = 4.9406564584124654e-324;
+  failed.eval.metrics["latency_us"] = std::numeric_limits<double>::infinity();
+  corpus.escaped.emplace_back(iir_fp, failed);
+  failed.eval.failure_reason = "non-convergence: schedule_block";
+  failed.fidelity = 4;
+  corpus.direct.emplace_back(iir_fp, failed);
+  corpus.direct.emplace_back("fp-viterbi",
+                             EvalRecord{{0, 4}, 1, sample_eval(1.25)});
+  corpus.direct.emplace_back("fp-viterbi",
+                             EvalRecord{{0, -4}, 0, sample_eval(0.1 + 0.7)});
+  return corpus;
+}
+
+// Every payload the store's writer produces is taken by the direct parser
+// and read exactly as the JSON path reads it, except records with an
+// escaped string, which are left to the JSON path by design.
+TEST(StorePayload, DirectParserTakesWhatTheWriterWrites) {
+  const std::string path = temp_store_path("payload_direct.journal");
+  const PayloadCorpus corpus = payload_corpus();
+  {
+    EvaluationStore store(path, single_file());
+    for (const auto& set : {corpus.direct, corpus.escaped}) {
+      for (const auto& [fingerprint, rec] : set) {
+        store.record(fingerprint, rec.indices, rec.fidelity, rec.eval);
+      }
+    }
+  }
+  const std::vector<std::string> payloads = journal_payloads(path);
+  ASSERT_EQ(payloads.size(), corpus.direct.size() + corpus.escaped.size());
+  for (std::size_t i = 0; i < payloads.size(); ++i) {
+    const bool escaped = i >= corpus.direct.size();
+    const auto& [fingerprint, rec] =
+        escaped ? corpus.escaped[i - corpus.direct.size()] : corpus.direct[i];
+    // The token model joins back to the writer's exact bytes.
+    EXPECT_EQ(tokens_of(fingerprint, rec).join(), payloads[i]);
+    const std::string label = "payload " + std::to_string(i);
+    EXPECT_EQ(direct_agrees_with_json(payloads[i], label), !escaped)
+        << label << ": " << payloads[i];
+  }
+  // The escaped records still load, through the JSON path.
+  EvaluationStore replayed(path, single_file());
+  EXPECT_EQ(replayed.size(), payloads.size());
+  EXPECT_EQ(replayed.stats().skipped_records, 0u);
+  const auto& [fingerprint, pinned] = corpus.escaped.front();
+  const auto got = replayed.lookup(fingerprint, pinned.indices,
+                                   pinned.fidelity);
+  ASSERT_TRUE(got.has_value());
+  expect_bit_identical(*got, pinned.eval, "pinned record");
+  std::remove(path.c_str());
+}
+
+// Seeded mutations of the writer's bytes: whenever the direct parser takes
+// a mutant, the JSON path takes it too and reads every field bit-identically.
+TEST(StorePayload, DirectParserAgreesWithJsonPathOnMutants) {
+  const PayloadCorpus corpus = payload_corpus();
+  const std::vector<std::string> odd_numbers = {
+      "1e400", "-1e400", "1e-400", "+1", "0x10", "1.5", "-nan", "nan(1)",
+      "infinity", "-infinity", "NaN", "INF", "Inf", "-0", "01", ".5", "5.",
+      "-.5", "1e5", "1E5", "1e+5", "1e", "-", "", "nan", "inf", "-inf",
+      "4.9406564584124654e-324", "2.2250738585072014e-308",
+      "1.7976931348623157e308", "1.7976931348623159e308", "2147483648",
+      "-2147483649", "99999999999999999999", "0.30000000000000004",
+      "123456789012345678901234567890e-20", "true", "null", "\"1\"", "1 "};
+  util::CounterRng rng(0x5eedf00dULL);
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  std::size_t taken = 0;
+  std::size_t declined = 0;
+  for (int trial = 0; trial < 6000; ++trial) {
+    const auto& [fingerprint, rec] = corpus.direct[pick(corpus.direct.size())];
+    PayloadTokens t = tokens_of(fingerprint, rec);
+    std::string text;
+    const std::size_t kind = pick(9);
+    switch (kind) {
+      case 0:
+      case 1:
+      case 2: {  // byte flip, inserted space, deleted byte
+        text = t.join();
+        const std::size_t at = pick(text.size());
+        if (kind == 0) text[at] = static_cast<char>(text[at] ^ (1 << pick(8)));
+        if (kind == 1) text.insert(at, " ");
+        if (kind == 2) text.erase(at, 1);
+        break;
+      }
+      case 3:  // swapped keys
+        if (pick(2) == 0) {
+          t.record_first = true;
+        } else {
+          std::swap(t.member_order[pick(6)], t.member_order[pick(6)]);
+        }
+        text = t.join();
+        break;
+      case 4:  // a repeated or reordered metric
+        if (t.metrics.empty()) {
+          t.metrics.emplace_back("\"m\"", "1");
+          t.metrics.emplace_back("\"m\"", "2");
+        } else if (pick(2) == 0 || t.metrics.size() == 1) {
+          const std::size_t m = pick(t.metrics.size());
+          t.metrics.insert(t.metrics.begin() + m + 1,
+                           {t.metrics[m].first, odd_numbers[pick(3)]});
+        } else {
+          std::swap(t.metrics[0], t.metrics[1 + pick(t.metrics.size() - 1)]);
+        }
+        text = t.join();
+        break;
+      case 5: {  // a \u escape of one plain character of a string
+        std::string& s = pick(2) == 0 || t.metrics.empty()
+                             ? t.fingerprint
+                             : t.metrics[pick(t.metrics.size())].first;
+        if (s.size() > 2) {
+          const std::size_t at = 1 + pick(s.size() - 2);
+          char hex[8];
+          std::snprintf(hex, sizeof(hex), "\\u%04x",
+                        static_cast<unsigned char>(s[at]));
+          s.replace(at, 1, hex);
+        }
+        text = t.join();
+        break;
+      }
+      case 6: {  // an odd number in a number slot
+        const std::string& number = odd_numbers[pick(odd_numbers.size())];
+        const std::size_t slot = pick(4);
+        if (slot == 0 && !t.indices.empty()) {
+          t.indices[pick(t.indices.size())] = number;
+        } else if (slot == 1) {
+          t.fidelity = number;
+        } else if (slot == 2 || t.metrics.empty()) {
+          t.confidence_weight = number;
+        } else {
+          t.metrics[pick(t.metrics.size())].second = number;
+        }
+        text = t.join();
+        break;
+      }
+      case 7:  // whitespace everywhere
+        t.space = pick(2) == 0 ? " " : "\n\t";
+        text = t.join();
+        break;
+      default:  // trailing content
+        text = t.join() + (pick(2) == 0 ? " " : "}");
+        break;
+    }
+    const std::string label =
+        "trial " + std::to_string(trial) + " kind " + std::to_string(kind);
+    if (direct_agrees_with_json(text, label)) {
+      ++taken;
+    } else {
+      ++declined;
+    }
+  }
+  // Both outcomes were exercised: digit flips and in-range numbers stay
+  // on the direct path, everything else falls back.
+  EXPECT_GT(taken, 200u);
+  EXPECT_GT(declined, 2000u);
+}
+
+// The two load paths intern metric names through one set: a canonical
+// record and a reformatted duplicate of it (whitespace, reordered keys, an
+// escaped fingerprint byte, a nan metric) load as one plain duplicate, not
+// as a divergent one, in either order.
+TEST(StorePayload, ReformattedDuplicateIsNotDivergent) {
+  const std::string path = temp_store_path("payload_duplicate.journal");
+  search::Evaluation eval = sample_eval(2.5);
+  eval.metrics["nan"] = std::numeric_limits<double>::quiet_NaN();
+  {
+    EvaluationStore store(path, single_file());
+    store.record("fp-a", {4, 2}, 1, eval);
+  }
+  const std::string header = read_file(path).substr(
+      0, read_file(path).find('\n') + 1);
+  const std::vector<std::string> payloads = journal_payloads(path);
+  ASSERT_EQ(payloads.size(), 1u);
+  const std::string& canonical = payloads.front();
+
+  PayloadTokens t = tokens_of("fp-a", EvalRecord{{4, 2}, 1, eval});
+  t.fingerprint = "\"fp\\u002da\"";
+  t.record_first = true;
+  t.member_order = {5, 3, 1, 0, 4, 2};
+  t.space = " ";
+  const std::string reformatted = t.join();
+  detail::StorePayload direct;
+  ASSERT_TRUE(detail::parse_payload_direct(canonical, direct));
+  ASSERT_FALSE(detail::parse_payload_direct(reformatted, direct));
+
+  for (const bool canonical_first : {true, false}) {
+    write_file(path, header +
+                         robust::frame_record(canonical_first ? canonical
+                                                              : reformatted) +
+                         robust::frame_record(canonical_first ? reformatted
+                                                              : canonical));
+    EvaluationStore store(path, single_file());
+    const auto stats = store.stats();
+    EXPECT_EQ(store.size(), 1u) << canonical_first;
+    EXPECT_EQ(stats.journal_records, 2u) << canonical_first;
+    EXPECT_EQ(stats.duplicate_records, 1u) << canonical_first;
+    EXPECT_EQ(stats.divergent_duplicates, 0u) << canonical_first;
+    EXPECT_EQ(stats.skipped_records, 0u) << canonical_first;
+    const auto got = store.lookup("fp-a", {4, 2}, 1);
+    ASSERT_TRUE(got.has_value());
+    expect_bit_identical(*got, eval, "duplicate");
+  }
   std::remove(path.c_str());
 }
 
