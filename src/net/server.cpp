@@ -14,6 +14,7 @@
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -127,6 +128,8 @@ std::string to_json(const ServerStats& stats) {
      << ",\"malformed_frames\":" << stats.malformed_frames
      << ",\"oversized_frames\":" << stats.oversized_frames
      << ",\"dropped_responses\":" << stats.dropped_responses
+     << ",\"backpressure_pauses\":" << stats.backpressure_pauses
+     << ",\"outbox_bytes\":" << stats.outbox_bytes
      << ",\"queue_depth\":" << stats.queue_depth
      << ",\"in_flight\":" << stats.in_flight << ",\"latency_p50_ms\":";
   robust::write_double(os, stats.latency_p50_ms);
@@ -161,7 +164,10 @@ struct DesignServer::Connection {
   /// written (outbox_offset bytes already sent).
   std::deque<std::string> outbox;
   std::size_t outbox_offset = 0;
+  std::size_t outbox_bytes = 0;  ///< sum of the outbox frames' sizes
   bool epollout_armed = false;
+  /// Not being read: the outbox reached the cap and has not drained yet.
+  bool read_paused = false;
 
   explicit Connection(std::size_t max_frame_bytes)
       : decoder(max_frame_bytes),
@@ -172,6 +178,7 @@ struct DesignServer::PendingQuery {
   std::uint64_t conn_id = 0;
   std::string request_id;
   serve::DesignQuery query;
+  std::string fingerprint;  ///< from route_query; empty = not computed
   serve::WireEncoding encoding = serve::WireEncoding::Json;
   std::chrono::steady_clock::time_point arrival;
 };
@@ -201,6 +208,11 @@ DesignServer::DesignServer(std::shared_ptr<serve::DesignService> service,
     throw std::invalid_argument("DesignServer requires a DesignService");
   }
   latency_window_.reserve(kLatencyWindow);
+  outbox_cap_ = config_.max_frame_bytes >
+                        std::numeric_limits<std::size_t>::max() /
+                            kOutboxCapFrames
+                    ? std::numeric_limits<std::size_t>::max()
+                    : kOutboxCapFrames * config_.max_frame_bytes;
 }
 
 DesignServer::~DesignServer() {
@@ -415,6 +427,7 @@ void DesignServer::io_loop() {
       if (events[i].events & EPOLLIN) connection_readable(conn);
     }
     drain_completions();
+    resume_drained_connections();
   }
 
   // Loop exited: close every socket.
@@ -422,6 +435,8 @@ void DesignServer::io_loop() {
     ::close(conn->fd);
   }
   connections_.clear();
+  paused_connections_.clear();
+  outbox_bytes_.store(0);
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
@@ -498,7 +513,7 @@ bool DesignServer::shed_connection() {
 void DesignServer::connection_readable(Connection& conn) {
   const std::uint64_t id = conn.id;
   char buf[65536];
-  for (;;) {
+  while (!conn.read_paused) {
     const ssize_t n = ::recv(conn.fd, buf, sizeof(buf), 0);
     if (n > 0) {
       if (conn.encoding == serve::WireEncoding::Binary) {
@@ -506,22 +521,7 @@ void DesignServer::connection_readable(Connection& conn) {
       } else {
         conn.decoder.feed(buf, static_cast<std::size_t>(n));
       }
-      // The mode can flip mid-buffer (a hello followed by binary frames in
-      // one read), so re-check the encoding every iteration.
-      for (;;) {
-        if (conn.encoding == serve::WireEncoding::Binary) {
-          auto frame = conn.binary_decoder.next();
-          if (!frame) break;
-          handle_binary_frame(conn, *frame);
-        } else {
-          auto frame = conn.decoder.next();
-          if (!frame) break;
-          handle_frame(conn, *frame);
-        }
-        // Handling writes the response; a dead socket closes the
-        // connection out from under us.
-        if (connections_.find(id) == connections_.end()) return;
-      }
+      if (!process_buffered_frames(conn)) return;
       continue;
     }
     if (n == 0) {
@@ -532,6 +532,56 @@ void DesignServer::connection_readable(Connection& conn) {
     if (errno == EINTR) continue;
     close_connection(id, "read error");
     return;
+  }
+}
+
+bool DesignServer::process_buffered_frames(Connection& conn) {
+  const std::uint64_t id = conn.id;
+  // The mode can flip mid-buffer (a hello followed by binary frames in one
+  // read), so re-check the encoding every iteration.
+  for (;;) {
+    if (conn.outbox_bytes >= outbox_cap_) {
+      // A client that sends without reading: stop reading it until its
+      // outbox drains (resume_drained_connections).
+      conn.read_paused = true;
+      paused_connections_.push_back(id);
+      update_epoll(conn);
+      std::lock_guard<std::mutex> lock(stats_mutex_);
+      ++stats_.backpressure_pauses;
+      return true;
+    }
+    if (conn.encoding == serve::WireEncoding::Binary) {
+      auto frame = conn.binary_decoder.next();
+      if (!frame) return true;
+      handle_binary_frame(conn, *frame);
+    } else {
+      auto frame = conn.decoder.next();
+      if (!frame) return true;
+      handle_frame(conn, *frame);
+    }
+    // Handling writes the response; a dead socket closes the connection
+    // out from under us.
+    if (connections_.find(id) == connections_.end()) return false;
+  }
+}
+
+void DesignServer::resume_drained_connections() {
+  for (std::size_t i = 0; i < paused_connections_.size();) {
+    const std::uint64_t id = paused_connections_[i];
+    auto it = connections_.find(id);
+    if (it != connections_.end() && !it->second->outbox.empty()) {
+      ++i;
+      continue;
+    }
+    paused_connections_.erase(paused_connections_.begin() +
+                              static_cast<std::ptrdiff_t>(i));
+    if (it == connections_.end()) continue;
+    Connection& conn = *it->second;
+    conn.read_paused = false;
+    update_epoll(conn);
+    // Frames the client sent before the pause come first; anything still
+    // in the socket is read when epoll reports it.
+    process_buffered_frames(conn);
   }
 }
 
@@ -624,7 +674,7 @@ bool DesignServer::handle_hello(Connection& conn, const Request& request) {
   append_frame(bytes, make_hello_response(request.id,
                                           binary ? "binary" : "text"));
   if (binary) bytes.append(kBinaryPreamble.data(), kBinaryPreamble.size());
-  conn.outbox.push_back(std::move(bytes));
+  push_outbox(conn, std::move(bytes));
   if (!flush_outbox(conn)) return false;
   if (connections_.find(id) == connections_.end()) return false;
   if (binary) {
@@ -674,12 +724,12 @@ void DesignServer::admit_request(Connection& conn, Request&& request) {
     return;
   }
 
-  const std::size_t route = route_query(request.query);
+  PendingQuery pending;
+  const std::size_t route = route_query(request.query, pending.fingerprint);
   if (route == search_workers_) {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     ++stats_.fast_lane_queries;
   }
-  PendingQuery pending;
   pending.conn_id = conn.id;
   pending.request_id = request.id;
   pending.query = std::move(request.query);
@@ -694,18 +744,19 @@ void DesignServer::admit_request(Connection& conn, Request&& request) {
   worker.cv.notify_one();
 }
 
-std::size_t DesignServer::route_query(const serve::DesignQuery& query) const {
+std::size_t DesignServer::route_query(const serve::DesignQuery& query,
+                                      std::string& fingerprint) const {
   // Cheap kinds take the fast lane (the extra worker at the end): an
   // archive probe must never wait behind a cold search.
   if (query.archive_only) return search_workers_;
-  std::string fingerprint;
   try {
     fingerprint = serve::query_fingerprint(query);
   } catch (...) {
     // Parseable but unconstructible (the search itself will surface the
     // error): any stable route preserves ordering, use the canonical
     // query bytes.
-    fingerprint = serve::to_json(query);
+    fingerprint.clear();
+    return serve::shard_index(serve::to_json(query), search_workers_);
   }
   // Same hash family as the store shards: one fingerprint -> one worker,
   // so same-scope queries keep arrival order at any worker count.
@@ -721,8 +772,14 @@ void DesignServer::enqueue_response(Connection& conn,
     framed.reserve(envelope.size() + 1);
     append_frame(framed, envelope);
   }
-  conn.outbox.push_back(std::move(framed));
+  push_outbox(conn, std::move(framed));
   flush_outbox(conn);
+}
+
+void DesignServer::push_outbox(Connection& conn, std::string bytes) {
+  conn.outbox_bytes += bytes.size();
+  outbox_bytes_.fetch_add(bytes.size(), std::memory_order_relaxed);
+  conn.outbox.push_back(std::move(bytes));
 }
 
 bool DesignServer::flush_outbox(Connection& conn) {
@@ -734,6 +791,8 @@ bool DesignServer::flush_outbox(Connection& conn) {
     if (n > 0) {
       conn.outbox_offset += static_cast<std::size_t>(n);
       if (conn.outbox_offset == front.size()) {
+        conn.outbox_bytes -= front.size();
+        outbox_bytes_.fetch_sub(front.size(), std::memory_order_relaxed);
         conn.outbox.pop_front();
         conn.outbox_offset = 0;
       }
@@ -765,7 +824,8 @@ bool DesignServer::flush_outbox(Connection& conn) {
 
 void DesignServer::update_epoll(Connection& conn) {
   epoll_event ev{};
-  ev.events = EPOLLIN | (conn.epollout_armed ? EPOLLOUT : 0u);
+  ev.events = (conn.read_paused ? 0u : EPOLLIN) |
+              (conn.epollout_armed ? EPOLLOUT : 0u);
   ev.data.u64 = conn.id;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn.fd, &ev);
 }
@@ -775,6 +835,7 @@ void DesignServer::close_connection(std::uint64_t conn_id, const char*) {
   if (it == connections_.end()) return;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, it->second->fd, nullptr);
   ::close(it->second->fd);
+  outbox_bytes_.fetch_sub(it->second->outbox_bytes, std::memory_order_relaxed);
   connections_.erase(it);
   std::lock_guard<std::mutex> lock(stats_mutex_);
   stats_.active_connections = connections_.size();
@@ -828,8 +889,9 @@ void DesignServer::worker_loop(Worker& worker) {
 
     std::vector<serve::DesignService::EncodedQuery> items(batch.size());
     for (std::size_t i = 0; i < batch.size(); ++i) {
-      items[i].query = batch[i].query;
+      items[i].query = std::move(batch[i].query);
       items[i].encoding = batch[i].encoding;
+      items[i].fingerprint = std::move(batch[i].fingerprint);
     }
 
     std::vector<std::string> envelopes(batch.size());
@@ -911,6 +973,7 @@ ServerStats DesignServer::stats() const {
       snapshot.latency_p99_ms = util::percentile(std::move(window), 99.0);
     }
   }
+  snapshot.outbox_bytes = outbox_bytes_.load(std::memory_order_relaxed);
   snapshot.queue_depth = total_pending_.load();
   snapshot.in_flight = total_in_flight_.load();
   snapshot.workers = search_workers_;

@@ -44,6 +44,14 @@
 // flushes the responses, closes every socket, and returns. The final
 // stats snapshot is available afterwards via stats()/stats_json().
 //
+// Per-connection memory is bounded too: a connection's outbox may hold at
+// most kOutboxCapFrames * max_frame_bytes of unwritten responses. A client
+// that keeps sending (say, pipelined `stats` requests) but never reads is
+// paused at the cap — the server stops reading its socket, so further
+// requests wait in the kernel buffers at the client's cost — and resumed
+// once its outbox has drained, starting with the frames it had already
+// sent. Each pause is counted in ServerStats::backpressure_pauses.
+//
 // Client disconnects are survivable by construction: SIGPIPE is ignored
 // process-wide at start() (writes use MSG_NOSIGNAL as well), and a
 // response whose connection died before it could be written is counted in
@@ -68,6 +76,10 @@
 namespace metacore::net {
 
 struct Request;  // net/protocol.hpp
+
+/// A connection whose unwritten responses reach this many max_frame_bytes
+/// stops being read until they drain.
+inline constexpr std::size_t kOutboxCapFrames = 4;
 
 struct ServerConfig {
   /// Bind address; loopback by default (a deployment fronting real
@@ -128,6 +140,11 @@ struct ServerStats {
   std::size_t malformed_frames = 0;  ///< frames failing parse_request
   std::size_t oversized_frames = 0;  ///< frames over max_frame_bytes
   std::size_t dropped_responses = 0; ///< connection died before delivery
+  /// Times a connection stopped being read because its outbox reached the
+  /// cap (kOutboxCapFrames * max_frame_bytes).
+  std::size_t backpressure_pauses = 0;
+  /// Response bytes queued for write across all connections right now.
+  std::size_t outbox_bytes = 0;
   std::size_t queue_depth = 0;       ///< pending queries right now
   std::size_t in_flight = 0;         ///< queries inside submit_batch now
   /// Service latency (admission to response-ready) over a sliding window
@@ -197,11 +214,20 @@ class DesignServer {
   void io_loop();
   void worker_loop(Worker& worker);
   /// Worker index for an admitted query: fingerprint-hash routing for
-  /// searches, the fast lane (last worker) for archive_only.
-  std::size_t route_query(const serve::DesignQuery& query) const;
+  /// searches, the fast lane (last worker) for archive_only. Leaves the
+  /// query's fingerprint in `fingerprint` when it computed one (empty for
+  /// the fast lane and for queries whose evaluator cannot be built).
+  std::size_t route_query(const serve::DesignQuery& query,
+                          std::string& fingerprint) const;
   void accept_ready();
   bool shed_connection();
   void connection_readable(Connection& conn);
+  /// Handles the frames already sitting in the connection's decoder until
+  /// none is left or its outbox reaches the cap (which pauses reading).
+  /// Returns false when the connection died.
+  bool process_buffered_frames(Connection& conn);
+  /// Resumes reading every paused connection whose outbox has drained.
+  void resume_drained_connections();
   void connection_writable(Connection& conn);
   void handle_frame(Connection& conn, const Frame& frame);
   void handle_binary_frame(Connection& conn, const BinaryFrame& frame);
@@ -212,6 +238,7 @@ class DesignServer {
   /// admitted (or rejected) into the worker queues.
   void admit_request(Connection& conn, Request&& request);
   void enqueue_response(Connection& conn, const std::string& envelope);
+  void push_outbox(Connection& conn, std::string bytes);
   /// Flushes as much of the outbox as the socket accepts; closes the
   /// connection on a write error. Returns false when the connection died.
   bool flush_outbox(Connection& conn);
@@ -244,6 +271,12 @@ class DesignServer {
   // Owned exclusively by the I/O thread after start().
   std::map<std::uint64_t, std::unique_ptr<Connection>> connections_;
   std::uint64_t next_conn_id_ = 1;
+  /// Connections whose reading is paused by the outbox cap.
+  std::vector<std::uint64_t> paused_connections_;
+  /// kOutboxCapFrames * max_frame_bytes (saturating).
+  std::size_t outbox_cap_ = 0;
+  /// Sum of every connection's queued response bytes (ServerStats).
+  std::atomic<std::size_t> outbox_bytes_{0};
 
   // Dispatch worker pool: the I/O thread produces into per-worker queues
   // (routed by fingerprint hash; last worker is the fast lane), each

@@ -1,7 +1,7 @@
 #include "robust/json.hpp"
 
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -218,25 +218,34 @@ std::size_t require_count(const JsonValue& obj, const std::string& key,
 }
 
 void write_escaped(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (const char c : s) {
+  // Runs of bytes that need no escape go out in one write each.
+  const char* run = s.data();
+  const char* const end = s.data() + s.size();
+  const auto flush_until = [&](const char* p) {  // p: the byte to escape
+    if (p != run) os.write(run, p - run);
+    run = p + 1;
+  };
+  os.put('"');
+  for (const char* p = run; p != end; ++p) {
+    const char c = *p;
     switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\r': os << "\\r"; break;
-      case '\t': os << "\\t"; break;
+      case '"': flush_until(p); os.write("\\\"", 2); break;
+      case '\\': flush_until(p); os.write("\\\\", 2); break;
+      case '\n': flush_until(p); os.write("\\n", 2); break;
+      case '\r': flush_until(p); os.write("\\r", 2); break;
+      case '\t': flush_until(p); os.write("\\t", 2); break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
+          flush_until(p);
+          static constexpr char kHex[] = "0123456789abcdef";
+          const char esc[6] = {'\\', 'u', '0', '0', kHex[(c >> 4) & 0xF],
+                               kHex[c & 0xF]};
+          os.write(esc, sizeof(esc));
         }
     }
   }
-  os << '"';
+  if (end != run) os.write(run, end - run);
+  os.put('"');
 }
 
 void write_double(std::ostream& os, double v) {
@@ -245,9 +254,12 @@ void write_double(std::ostream& os, double v) {
   } else if (std::isinf(v)) {
     os << (v > 0 ? "inf" : "-inf");
   } else {
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    os << buf;
+    // Specified to produce exactly printf's "%.17g", without the format
+    // parsing and locale machinery.
+    char buf[32];
+    const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v,
+                                         std::chars_format::general, 17);
+    os.write(buf, end - buf);
   }
 }
 

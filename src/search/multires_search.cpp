@@ -278,10 +278,11 @@ void MultiresolutionSearch::search_region(const Region& region, int resolution,
     const std::vector<int>& indices = grid[i];
     const Evaluation& eval = *cached_evaluation(indices, resolution);
     // Track the global best.
-    if (result.best.indices.empty() ||
-        objective_.better(eval, result.best.eval)) {
+    const RankKey key = objective_.rank_key(eval);
+    if (result.best.indices.empty() || Objective::better(key, best_key_)) {
       result.best = {indices, space_.values_at(indices), eval, resolution};
-      result.found_feasible = objective_.feasible(eval);
+      result.found_feasible = key.feasible;
+      best_key_ = key;
     }
     if (!eval.feasible) continue;
 
@@ -404,11 +405,13 @@ SearchResult exhaustive_search(const DesignSpace& space,
         EvaluatedPoint{std::move(points[i]), values, std::move(eval), fidelity};
   });
   result.evaluations = result.history.size();
+  RankKey best_key;
   for (const auto& point : result.history) {
-    if (result.best.indices.empty() ||
-        objective.better(point.eval, result.best.eval)) {
+    const RankKey key = objective.rank_key(point.eval);
+    if (result.best.indices.empty() || Objective::better(key, best_key)) {
       result.best = point;
-      result.found_feasible = objective.feasible(point.eval);
+      result.found_feasible = key.feasible;
+      best_key = key;
     }
   }
   result.levels_executed = 1;
@@ -443,7 +446,7 @@ SearchResult verify_top_candidates(SearchResult result,
       auto hit = store->lookup(store_fingerprint, indices, fidelity);
       if (hit) {
         ++result.store_hits;
-        return *hit;
+        return std::move(*hit);
       }
     }
     Evaluation eval = evaluate(values, fidelity);
@@ -452,12 +455,20 @@ SearchResult verify_top_candidates(SearchResult result,
     }
     return eval;
   };
-  std::vector<const EvaluatedPoint*> ranked;
+  // Rank each point once; the sort then compares keys. Every comparison
+  // has the outcome better() would give, so the permutation is the same.
+  struct Ranked {
+    RankKey key;
+    const EvaluatedPoint* point;
+  };
+  std::vector<Ranked> ranked;
   ranked.reserve(result.history.size());
-  for (const auto& p : result.history) ranked.push_back(&p);
+  for (const auto& p : result.history) {
+    ranked.push_back({objective.rank_key(p.eval), &p});
+  }
   std::sort(ranked.begin(), ranked.end(),
-            [&](const EvaluatedPoint* a, const EvaluatedPoint* b) {
-              return objective.better(a->eval, b->eval);
+            [](const Ranked& a, const Ranked& b) {
+              return Objective::better(a.key, b.key);
             });
 
   // Walk the ranked list, re-verifying candidates at high fidelity, until
@@ -467,24 +478,30 @@ SearchResult verify_top_candidates(SearchResult result,
   bool have_best = false;
   int confirmed = 0;
   EvaluatedPoint best;
+  RankKey best_key;
   for (std::size_t i = 0; i < ranked.size(); ++i) {
     if (static_cast<int>(i) >= top_k && confirmed > 0) break;
     if (static_cast<int>(i) >= 4 * top_k) break;  // give up eventually
-    const EvaluatedPoint* cand = ranked[i];
-    Evaluation eval = cand->fidelity >= fidelity
-                          ? cand->eval
-                          : evaluate_at(cand->indices, cand->values);
-    if (cand->fidelity < fidelity) ++result.evaluations;
-    const bool feasible = objective.feasible(eval);
-    if (!have_best || objective.better(eval, best.eval)) {
-      best = {cand->indices, cand->values, std::move(eval), fidelity};
+    const EvaluatedPoint* cand = ranked[i].point;
+    const bool reevaluate = cand->fidelity < fidelity;
+    Evaluation fresh;
+    RankKey key = ranked[i].key;
+    if (reevaluate) {
+      fresh = evaluate_at(cand->indices, cand->values);
+      key = objective.rank_key(fresh);
+      ++result.evaluations;
+    }
+    if (!have_best || Objective::better(key, best_key)) {
+      best = {cand->indices, cand->values, {}, fidelity};
+      best.eval = reevaluate ? std::move(fresh) : Evaluation(cand->eval);
+      best_key = key;
       have_best = true;
     }
-    if (feasible && ++confirmed >= kStopAfterConfirmed) break;
+    if (key.feasible && ++confirmed >= kStopAfterConfirmed) break;
   }
   if (have_best) {
     result.best = std::move(best);
-    result.found_feasible = objective.feasible(result.best.eval);
+    result.found_feasible = best_key.feasible;
   }
   if (store != nullptr) {
     result.divergent_duplicates +=

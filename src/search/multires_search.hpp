@@ -153,6 +153,8 @@ class MultiresolutionSearch {
   std::optional<robust::GuardedEvaluator> guard_;
 
   std::map<std::vector<int>, std::map<int, Evaluation>> cache_;
+  /// Rank of the running SearchResult::best under objective_.
+  RankKey best_key_;
   BerPredictor ber_predictor_;
   /// Interpolator over the (smooth) objective metric, maintained for
   /// callers that want post-hoc surface estimates (the paper's smooth-

@@ -6,15 +6,16 @@
 
 namespace metacore::search {
 
-double Evaluation::metric(const std::string& name) const {
+double Evaluation::metric(std::string_view name) const {
   const auto it = metrics.find(name);
   if (it == metrics.end()) {
-    throw std::invalid_argument("Evaluation: missing metric '" + name + "'");
+    throw std::invalid_argument("Evaluation: missing metric '" +
+                                std::string(name) + "'");
   }
   return it->second;
 }
 
-bool Evaluation::has_metric(const std::string& name) const {
+bool Evaluation::has_metric(std::string_view name) const {
   return metrics.find(name) != metrics.end();
 }
 
@@ -23,8 +24,9 @@ bool Constraint::satisfied(const Evaluation& eval) const {
 }
 
 double Constraint::violation(const Evaluation& eval) const {
-  if (!eval.has_metric(metric)) return 1.0;  // unknown counts as violated
-  const double value = eval.metric(metric);
+  const auto it = eval.metrics.find(metric);
+  if (it == eval.metrics.end()) return 1.0;  // unknown counts as violated
+  const double value = it->second;
   const double scale = bound != 0.0 ? std::abs(bound) : 1.0;
   switch (kind) {
     case Kind::UpperBound:
@@ -43,25 +45,31 @@ bool Objective::feasible(const Evaluation& eval) const {
   return true;
 }
 
-bool Objective::better(const Evaluation& a, const Evaluation& b) const {
-  const bool fa = feasible(a);
-  const bool fb = feasible(b);
-  if (fa != fb) return fa;
-  if (!fa) {
-    // Both infeasible: smaller total violation wins.
-    double va = a.feasible ? 0.0 : 1e9;
-    double vb = b.feasible ? 0.0 : 1e9;
-    for (const auto& c : constraints) {
-      va += std::max(0.0, c.violation(a));
-      vb += std::max(0.0, c.violation(b));
+RankKey Objective::rank_key(const Evaluation& eval) const {
+  RankKey key;
+  key.feasible = eval.feasible;
+  double violation = eval.feasible ? 0.0 : 1e9;
+  for (const auto& c : constraints) {
+    const double v = c.violation(eval);
+    if (!(v <= 0.0)) key.feasible = false;  // Constraint::satisfied
+    violation += std::max(0.0, v);
+  }
+  if (!key.feasible) key.violation = violation;
+  if (!minimize.empty()) {
+    const auto it = eval.metrics.find(minimize);
+    if (it != eval.metrics.end()) {
+      key.has_value = true;
+      key.value = it->second;
     }
-    return va < vb;
   }
-  if (minimize.empty()) return false;
-  if (!a.has_metric(minimize) || !b.has_metric(minimize)) {
-    return a.has_metric(minimize);
-  }
-  return a.metric(minimize) < b.metric(minimize);
+  return key;
+}
+
+bool Objective::better(const RankKey& a, const RankKey& b) {
+  if (a.feasible != b.feasible) return a.feasible;
+  if (!a.feasible) return a.violation < b.violation;
+  if (!a.has_value || !b.has_value) return a.has_value;
+  return a.value < b.value;
 }
 
 }  // namespace metacore::search

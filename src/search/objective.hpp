@@ -5,9 +5,11 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include "search/metric_map.hpp"
 
 namespace metacore::search {
 
@@ -16,7 +18,7 @@ namespace metacore::search {
 /// intrinsic failures (e.g. no hardware configuration meets throughput).
 struct Evaluation {
   bool feasible = true;
-  std::map<std::string, double> metrics;
+  MetricMap metrics;
   /// For probabilistic metrics: how much evidence backs them (e.g. bits
   /// simulated); used by the Bayesian predictor to weight observations.
   double confidence_weight = 1.0;
@@ -26,8 +28,8 @@ struct Evaluation {
   /// converge". Empty for ordinary evaluations.
   std::string failure_reason;
 
-  double metric(const std::string& name) const;
-  bool has_metric(const std::string& name) const;
+  double metric(std::string_view name) const;
+  bool has_metric(std::string_view name) const;
 };
 
 /// Evaluation callback. `point` holds one value per design-space dimension;
@@ -47,15 +49,34 @@ struct Constraint {
   double violation(const Evaluation& eval) const;
 };
 
+/// Where one evaluation ranks under an Objective: everything better()
+/// looks at, computed once, so a sort or a running best compares numbers
+/// instead of looking metrics up again on every comparison.
+struct RankKey {
+  bool feasible = false;  ///< Objective::feasible
+  /// Summed in constraint order: max(0, violation) per constraint, plus
+  /// 1e9 when the evaluation itself is infeasible. Compared only between
+  /// two infeasible keys (0 for feasible ones).
+  double violation = 0.0;
+  bool has_value = false;  ///< the minimized metric is present
+  double value = 0.0;      ///< its value (0 when absent)
+};
+
 struct Objective {
   std::string minimize;  ///< metric to minimize among feasible points
   std::vector<Constraint> constraints;
 
   bool feasible(const Evaluation& eval) const;
 
-  /// Totally ordered comparison: feasibility first, then constraint
-  /// violation, then the objective metric. Returns true when `a` is better.
-  bool better(const Evaluation& a, const Evaluation& b) const;
+  RankKey rank_key(const Evaluation& eval) const;
+
+  /// The order: feasibility first, then total constraint violation, then
+  /// the objective metric (a point that has it beats one that does not).
+  /// Returns true when `a` is better.
+  static bool better(const RankKey& a, const RankKey& b);
+  bool better(const Evaluation& a, const Evaluation& b) const {
+    return better(rank_key(a), rank_key(b));
+  }
 };
 
 }  // namespace metacore::search

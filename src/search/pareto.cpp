@@ -8,34 +8,36 @@ namespace metacore::search {
 std::vector<EvaluatedPoint> pareto_front(
     const std::vector<EvaluatedPoint>& history, const std::string& metric_x,
     const std::string& metric_y) {
-  std::vector<const EvaluatedPoint*> candidates;
+  // Each candidate's two metrics are looked up once; the sort compares
+  // the stored values.
+  struct Candidate {
+    double x, y;
+    const EvaluatedPoint* point;
+  };
+  std::vector<Candidate> candidates;
   for (const auto& p : history) {
-    if (p.eval.feasible && p.eval.has_metric(metric_x) &&
-        p.eval.has_metric(metric_y)) {
-      candidates.push_back(&p);
-    }
+    if (!p.eval.feasible) continue;
+    const auto x = p.eval.metrics.find(metric_x);
+    const auto y = p.eval.metrics.find(metric_y);
+    if (x == p.eval.metrics.end() || y == p.eval.metrics.end()) continue;
+    candidates.push_back({x->second, y->second, &p});
   }
   // Metric ties are broken by grid indices (lowest wins): the order is
   // total, so the staircase below — which keeps exactly one point per
   // coincident (x, y) — deduplicates deterministically regardless of
   // history order or std::sort's handling of equivalent elements.
   std::sort(candidates.begin(), candidates.end(),
-            [&](const EvaluatedPoint* a, const EvaluatedPoint* b) {
-              const double ax = a->eval.metric(metric_x);
-              const double bx = b->eval.metric(metric_x);
-              if (ax != bx) return ax < bx;
-              const double ay = a->eval.metric(metric_y);
-              const double by = b->eval.metric(metric_y);
-              if (ay != by) return ay < by;
-              return a->indices < b->indices;
+            [](const Candidate& a, const Candidate& b) {
+              if (a.x != b.x) return a.x < b.x;
+              if (a.y != b.y) return a.y < b.y;
+              return a.point->indices < b.point->indices;
             });
   std::vector<EvaluatedPoint> front;
   double best_y = std::numeric_limits<double>::infinity();
-  for (const EvaluatedPoint* p : candidates) {
-    const double y = p->eval.metric(metric_y);
-    if (y < best_y) {
-      front.push_back(*p);
-      best_y = y;
+  for (const Candidate& c : candidates) {
+    if (c.y < best_y) {
+      front.push_back(*c.point);
+      best_y = c.y;
     }
   }
   return front;

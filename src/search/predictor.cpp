@@ -75,7 +75,7 @@ void BerPredictor::add(std::vector<double> coords, double ber, double trials) {
   }
   coords_.push_back(std::move(coords));
   log_ber_.push_back(std::log10(std::clamp(ber, 1e-12, 1.0)));
-  evidence_.push_back(trials);
+  log1p_evidence_.push_back(std::log1p(trials));
 }
 
 BerPredictor::Prediction BerPredictor::predict(
@@ -90,13 +90,18 @@ BerPredictor::Prediction BerPredictor::predict(
   // handful of grid neighbors dominate each prediction.
   const double length_scale =
       0.25 * std::sqrt(static_cast<double>(coords.size()));
+  // Each weight is computed once and reused by the variance pass; the
+  // scratch buffer is per thread, so concurrent predictions never share it.
+  thread_local std::vector<double> weights;
+  weights.resize(coords_.size());
   double wsum = 0.0, mean = 0.0;
   double min_d2 = 1e300;
   for (std::size_t i = 0; i < coords_.size(); ++i) {
     const double d2 = sq_distance(coords_[i], coords);
     min_d2 = std::min(min_d2, d2);
-    const double w = std::log1p(evidence_[i]) *
+    const double w = log1p_evidence_[i] *
                      std::exp(-d2 / (2.0 * length_scale * length_scale));
+    weights[i] = w;
     wsum += w;
     mean += w * log_ber_[i];
   }
@@ -107,11 +112,8 @@ BerPredictor::Prediction BerPredictor::predict(
   mean /= wsum;
   double var = 0.0;
   for (std::size_t i = 0; i < coords_.size(); ++i) {
-    const double d2 = sq_distance(coords_[i], coords);
-    const double w = std::log1p(evidence_[i]) *
-                     std::exp(-d2 / (2.0 * length_scale * length_scale));
     const double diff = log_ber_[i] - mean;
-    var += w * diff * diff;
+    var += weights[i] * diff * diff;
   }
   var = var / wsum;
   // Epistemic floor: even with consistent neighbors, uncertainty grows with

@@ -55,7 +55,7 @@ class BerPredictor {
  private:
   std::vector<std::vector<double>> coords_;
   std::vector<double> log_ber_;
-  std::vector<double> evidence_;
+  std::vector<double> log1p_evidence_;  ///< log1p(trials), the weight scale
 };
 
 }  // namespace metacore::search

@@ -188,10 +188,15 @@ search::EvaluatedPoint get_point(Reader& r,
   pt.eval.failure_reason = lookup(r.varint());
   const std::uint64_t n_metrics = r.varint();
   r.need(n_metrics);  // each metric consumes >= 2 bytes
+  search::MetricMap::container_type metrics;
+  metrics.reserve(n_metrics);
   for (std::uint64_t i = 0; i < n_metrics; ++i) {
     const std::string& name = lookup(r.varint());
-    pt.eval.metrics.emplace(name, r.f64());
+    metrics.emplace_back(name, r.f64());
   }
+  // A repeated name keeps its first value (the encoder never repeats one).
+  pt.eval.metrics = search::MetricMap::build(
+      std::move(metrics), search::MetricMap::Duplicates::KeepFirst);
   return pt;
 }
 

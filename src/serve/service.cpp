@@ -281,7 +281,11 @@ DesignService::DesignService(ServiceConfig config)
 }
 
 DesignResponse DesignService::submit(const DesignQuery& query) {
-  const std::string key = to_json(query);
+  return submit(query, to_json(query));
+}
+
+DesignResponse DesignService::submit(const DesignQuery& query,
+                                     const std::string& key) {
   std::shared_ptr<InFlight> flight;
   bool leader = false;
   {
@@ -341,11 +345,13 @@ std::vector<DesignResponse> DesignService::submit_batch(
   std::map<std::string, std::size_t> first_of;
   std::vector<std::size_t> slot_of(queries.size());
   std::vector<std::size_t> unique;
+  std::vector<const std::string*> unique_key;
   std::size_t duplicates = 0;
   for (std::size_t i = 0; i < queries.size(); ++i) {
     auto [it, inserted] = first_of.emplace(to_json(queries[i]), unique.size());
     if (inserted) {
       unique.push_back(i);
+      unique_key.push_back(&it->first);
     } else {
       ++duplicates;
     }
@@ -375,7 +381,7 @@ std::vector<DesignResponse> DesignService::submit_batch(
   std::vector<DesignResponse> unique_responses(unique.size());
   exec::parallel_for(groups.size(), [&](std::size_t g) {
     for (const std::size_t u : *groups[g]) {
-      unique_responses[u] = submit(queries[unique[u]]);
+      unique_responses[u] = submit(queries[unique[u]], *unique_key[u]);
     }
   });
 
@@ -387,7 +393,6 @@ std::vector<DesignResponse> DesignService::submit_batch(
 
 std::shared_ptr<const std::string> DesignService::submit_encoded(
     const DesignQuery& query, WireEncoding encoding) {
-  const auto slot = static_cast<std::size_t>(encoding);
   if (cache_capacity_ == 0) {
     return std::make_shared<const std::string>(
         encode_response(submit(query), encoding));
@@ -402,8 +407,17 @@ std::shared_ptr<const std::string> DesignService::submit_encoded(
     return std::make_shared<const std::string>(
         encode_response(submit(query), encoding));
   }
+  return submit_encoded(query, encoding, to_json(query), fingerprint);
+}
 
-  const std::string key = to_json(query);
+std::shared_ptr<const std::string> DesignService::submit_encoded(
+    const DesignQuery& query, WireEncoding encoding, const std::string& key,
+    const std::string& fingerprint) {
+  const auto slot = static_cast<std::size_t>(encoding);
+  if (cache_capacity_ == 0) {
+    return std::make_shared<const std::string>(
+        encode_response(submit(query, key), encoding));
+  }
   const Generation g0 = current_generation(fingerprint);
   {
     std::lock_guard<std::mutex> cache_lock(cache_mutex_);
@@ -439,7 +453,7 @@ std::shared_ptr<const std::string> DesignService::submit_encoded(
     ++stats_.response_cache_misses;
   }
 
-  DesignResponse response = submit(query);
+  DesignResponse response = submit(query, key);
   const Generation g1 = current_generation(fingerprint);
   auto bytes = std::make_shared<const std::string>(
       encode_response(response, encoding));
@@ -479,9 +493,11 @@ DesignService::submit_batch_encoded(const std::vector<EncodedQuery>& items) {
 
   // Deduplicate identical (query, encoding) pairs up front — same
   // rationale as submit_batch: byte-identical output at any thread count.
+  // Each item's canonical key is computed here once and carried down.
   std::map<std::pair<std::string, int>, std::size_t> first_of;
   std::vector<std::size_t> slot_of(items.size());
   std::vector<std::size_t> unique;
+  std::vector<const std::string*> unique_key;
   std::size_t duplicates = 0;
   for (std::size_t i = 0; i < items.size(); ++i) {
     auto [it, inserted] = first_of.emplace(
@@ -490,6 +506,7 @@ DesignService::submit_batch_encoded(const std::vector<EncodedQuery>& items) {
         unique.size());
     if (inserted) {
       unique.push_back(i);
+      unique_key.push_back(&it->first.first);
     } else {
       ++duplicates;
     }
@@ -502,22 +519,29 @@ DesignService::submit_batch_encoded(const std::vector<EncodedQuery>& items) {
   }
 
   // Same-fingerprint queries run sequentially in batch order (see
-  // submit_batch); distinct scopes fan out in parallel.
+  // submit_batch); distinct scopes fan out in parallel. An unconstructible
+  // query throws here, failing the batch as a whole.
   std::map<std::string, std::vector<std::size_t>> by_fingerprint;
   for (std::size_t u = 0; u < unique.size(); ++u) {
-    by_fingerprint[query_fingerprint(items[unique[u]].query)].push_back(u);
+    const EncodedQuery& item = items[unique[u]];
+    by_fingerprint[item.fingerprint.empty() ? query_fingerprint(item.query)
+                                            : item.fingerprint]
+        .push_back(u);
   }
-  std::vector<const std::vector<std::size_t>*> groups;
+  std::vector<std::pair<const std::string*, const std::vector<std::size_t>*>>
+      groups;
   groups.reserve(by_fingerprint.size());
   for (const auto& [fingerprint, slots] : by_fingerprint) {
-    groups.push_back(&slots);
+    groups.emplace_back(&fingerprint, &slots);
   }
 
   std::vector<std::shared_ptr<const std::string>> unique_out(unique.size());
   exec::parallel_for(groups.size(), [&](std::size_t g) {
-    for (const std::size_t u : *groups[g]) {
+    const auto& [fingerprint, slots] = groups[g];
+    for (const std::size_t u : *slots) {
       const EncodedQuery& item = items[unique[u]];
-      unique_out[u] = submit_encoded(item.query, item.encoding);
+      unique_out[u] = submit_encoded(item.query, item.encoding, *unique_key[u],
+                                     *fingerprint);
     }
   });
 
@@ -720,7 +744,10 @@ DesignResponse DesignService::answer_from_archive(const DesignQuery& query) {
   // so the merge is order-independent.
   std::map<std::vector<int>, search::EvaluatedPoint> population;
   const auto merge = [&population](search::EvaluatedPoint pt) {
-    auto [it, inserted] = population.emplace(pt.indices, pt);
+    std::vector<int> key = pt.indices;
+    // try_emplace leaves `pt` untouched when the key is already held.
+    auto [it, inserted] =
+        population.try_emplace(std::move(key), std::move(pt));
     if (!inserted && pt.fidelity > it->second.fidelity) {
       it->second = std::move(pt);
     }
@@ -728,8 +755,8 @@ DesignResponse DesignService::answer_from_archive(const DesignQuery& query) {
   if (store_) {
     for (auto& [indices, fidelity, eval] : store_->entries_for(fingerprint)) {
       search::EvaluatedPoint pt;
-      pt.indices = indices;
       pt.values = space->values_at(indices);
+      pt.indices = std::move(indices);
       pt.fidelity = fidelity;
       pt.eval = std::move(eval);
       merge(std::move(pt));
@@ -745,13 +772,18 @@ DesignResponse DesignService::answer_from_archive(const DesignQuery& query) {
 
   std::vector<search::EvaluatedPoint> satisfying;
   const search::EvaluatedPoint* best = nullptr;
+  search::RankKey best_key;
   for (const auto& [indices, pt] : population) {
-    if (!best || objective.better(pt.eval, best->eval)) best = &pt;
-    if (objective.feasible(pt.eval)) satisfying.push_back(pt);
+    const search::RankKey key = objective.rank_key(pt.eval);
+    if (!best || search::Objective::better(key, best_key)) {
+      best = &pt;
+      best_key = key;
+    }
+    if (key.feasible) satisfying.push_back(pt);
   }
   if (best) {
     response.best = *best;
-    response.feasible = objective.feasible(best->eval);
+    response.feasible = best_key.feasible;
   }
   response.front =
       search::pareto_front(satisfying, response.front_x, response.front_y);

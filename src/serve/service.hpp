@@ -195,6 +195,9 @@ class DesignService {
   struct EncodedQuery {
     DesignQuery query;
     WireEncoding encoding = WireEncoding::Json;
+    /// query_fingerprint(query) when the caller already computed it (the
+    /// server routes by it); empty = computed here.
+    std::string fingerprint;
   };
 
   /// Batch form of submit_encoded: deduplicates identical (query,
@@ -236,6 +239,14 @@ class DesignService {
     /// Lazily filled per encoding, indexed by WireEncoding.
     std::shared_ptr<const std::string> encoded[2];
   };
+
+  /// submit() with the coalescing key to_json(query) already computed.
+  DesignResponse submit(const DesignQuery& query, const std::string& key);
+  /// submit_encoded() for a query whose key and evaluator fingerprint are
+  /// already computed.
+  std::shared_ptr<const std::string> submit_encoded(
+      const DesignQuery& query, WireEncoding encoding, const std::string& key,
+      const std::string& fingerprint);
 
   /// Executes the query for real (search or archive answer).
   DesignResponse run_query(const DesignQuery& query);

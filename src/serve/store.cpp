@@ -107,6 +107,7 @@ PackedEval pack(const detail::StorePayload& payload) {
 search::Evaluation unpack(const PackedEval& packed) {
   search::Evaluation eval;
   eval.feasible = packed.feasible;
+  eval.metrics.reserve(packed.values.size());
   for (std::size_t i = 0; i < packed.values.size(); ++i) {
     eval.metrics.emplace_hint(eval.metrics.end(), (*packed.names)[i],
                               packed.values[i]);
@@ -254,13 +255,18 @@ EvalRecord parse_eval_record(const robust::JsonValue& obj,
       require(obj, "failure_reason", JsonValue::Type::String, what).string;
   const JsonValue& metrics =
       require(obj, "metrics", JsonValue::Type::Object, what);
+  search::MetricMap::container_type entries;
+  entries.reserve(metrics.object.size());
   for (const auto& [name, value] : metrics.object) {
     if (value.type != JsonValue::Type::Number) {
       throw std::runtime_error(what + ": non-numeric metric \"" + name +
                                "\"");
     }
-    rec.eval.metrics[name] = value.number;
+    entries.emplace_back(name, value.number);
   }
+  // A repeated name keeps its last value in document order.
+  rec.eval.metrics = search::MetricMap::build(
+      std::move(entries), search::MetricMap::Duplicates::KeepLast);
   return rec;
 }
 

@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <iterator>
 #include <functional>
@@ -20,6 +21,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "net/client.hpp"
@@ -28,6 +30,7 @@
 #include "net/server.hpp"
 #include "serve/binary_codec.hpp"
 #include "serve/service.hpp"
+#include "util/rng.hpp"
 
 namespace metacore::net {
 namespace {
@@ -230,6 +233,87 @@ TEST(BinaryCodec, ResponseRoundTripsARealSearchAnswer) {
   // than the canonical JSON for a real answer.
   EXPECT_LT(serve::encode_binary(searched).size(),
             serve::to_json(searched).size());
+}
+
+/// A hand-built MCB1 response whose best point carries the metrics
+/// (table index, value) in the given order; table entry 0 is "".
+std::string response_with_metrics(
+    const std::vector<std::string>& names,
+    const std::vector<std::pair<std::size_t, double>>& metrics) {
+  std::string out;
+  bc::put_u8(out, serve::kBinaryCodecVersion);
+  bc::put_varint(out, names.size() + 1);
+  bc::put_string(out, "");
+  for (const std::string& name : names) bc::put_string(out, name);
+  bc::put_u8(out, 1);                                  // flags: feasible
+  for (int i = 0; i < 4; ++i) bc::put_varint(out, 0);  // counters
+  bc::put_string(out, "area_mm2");
+  bc::put_string(out, "ber");
+  bc::put_varint(out, 1);  // indices
+  bc::put_zigzag(out, 3);
+  bc::put_varint(out, 1);  // values
+  bc::put_f64(out, 0.5);
+  bc::put_zigzag(out, 0);  // fidelity
+  bc::put_u8(out, 1);      // feasible
+  bc::put_f64(out, 1.0);   // confidence weight
+  bc::put_varint(out, 0);  // failure reason ""
+  bc::put_varint(out, metrics.size());
+  for (const auto& [index, value] : metrics) {
+    bc::put_varint(out, index);
+    bc::put_f64(out, value);
+  }
+  bc::put_varint(out, 0);  // front
+  bc::put_string(out, "");
+  return out;
+}
+
+TEST(BinaryCodec, DecodesAHundredThousandShuffledMetricNamesQuickly) {
+  // Names arrive in hostile (shuffled) order: building the sorted record
+  // must not insert one at a time, which is quadratic (minutes here). An
+  // optimized build decodes in well under 0.1 s; sanitizer builds run it
+  // 10-40x slower, so their cap is scaled to match.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  constexpr auto kCap = 20s;
+#else
+  constexpr auto kCap = 2s;
+#endif
+  constexpr std::size_t kMetrics = 100'000;
+  std::vector<std::string> names(kMetrics);
+  for (std::size_t i = 0; i < kMetrics; ++i) {
+    char buf[16];
+    std::snprintf(buf, sizeof(buf), "m%06zu", i);
+    names[i] = buf;
+  }
+  std::vector<std::pair<std::size_t, double>> metrics;
+  for (std::size_t i = 0; i < kMetrics; ++i) {
+    metrics.emplace_back(i + 1, static_cast<double>(i));
+  }
+  util::CounterRng rng(42);
+  for (std::size_t i = kMetrics - 1; i > 0; --i) {
+    std::swap(metrics[i], metrics[rng() % (i + 1)]);
+  }
+  const std::string bytes = response_with_metrics(names, metrics);
+
+  const auto start = std::chrono::steady_clock::now();
+  const serve::DesignResponse decoded = serve::decode_design_response(bytes);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_LT(elapsed, kCap);
+
+  ASSERT_EQ(decoded.best.eval.metrics.size(), kMetrics);
+  std::size_t i = 0;
+  for (const auto& [name, value] : decoded.best.eval.metrics) {
+    ASSERT_EQ(name, names[i]);
+    ASSERT_EQ(value, static_cast<double>(i));
+    ++i;
+  }
+}
+
+TEST(BinaryCodec, RepeatedMetricNameKeepsItsFirstValue) {
+  const std::vector<std::string> names = {"b", "a"};
+  const serve::DesignResponse decoded = serve::decode_design_response(
+      response_with_metrics(names, {{1, 1.0}, {2, 2.0}, {1, 3.0}, {2, 4.0}}));
+  const search::MetricMap want = {{"a", 2.0}, {"b", 1.0}};
+  EXPECT_EQ(decoded.best.eval.metrics, want);
 }
 
 // --- binary envelopes -----------------------------------------------------

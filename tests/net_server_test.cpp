@@ -626,6 +626,93 @@ TEST(DesignServer, ConnectionsOverTheCapAreRefusedAndCounted) {
   server.shutdown();
 }
 
+// A client that pipelines requests but never reads its responses: the
+// server must stop reading it once its outbox reaches the cap, instead of
+// queueing every response in memory, and must answer every request once
+// the client does read.
+TEST(DesignServer, OutboxStaysBoundedForAClientThatNeverReads) {
+  ServerConfig config = loopback_config();
+  config.max_frame_bytes = 512;
+  auto service = std::make_shared<serve::DesignService>();
+  DesignServer server(service, config);
+  server.start();
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  // A small receive buffer: the kernel absorbs little of what the server
+  // writes, so unread responses pile up on the server side.
+  const int small = 4096;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &small, sizeof(small));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<std::uint16_t>(server.port()));
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+  ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL) | O_NONBLOCK);
+
+  // Each ~30-byte stats request is answered with a ~1 KB document: 20000
+  // of them are ~20 MB of responses, far beyond the kernel buffers.
+  constexpr std::size_t kRequests = 20000;
+  const std::string request = "{\"id\":\"s\",\"kind\":\"stats\"}\n";
+  std::string burst;
+  for (std::size_t i = 0; i < kRequests; ++i) burst += request;
+  std::size_t sent = 0;
+  auto last_progress = std::chrono::steady_clock::now();
+  while (sent < burst.size() &&
+         std::chrono::steady_clock::now() - last_progress < 500ms) {
+    const ssize_t n =
+        ::send(fd, burst.data() + sent, burst.size() - sent, MSG_NOSIGNAL);
+    if (n > 0) {
+      sent += static_cast<std::size_t>(n);
+      last_progress = std::chrono::steady_clock::now();
+    } else {
+      std::this_thread::sleep_for(1ms);
+    }
+  }
+  // A request cut short by a full socket is never completed, so it is
+  // never answered either.
+  const std::size_t requests_sent = sent / request.size();
+
+  // Let the I/O thread settle (no request handled for 200 ms), then check
+  // the bound: the cap, plus the one response that crossed it.
+  std::size_t handled = server.stats().stats_requests;
+  for (int i = 0; i < 300; ++i) {
+    std::this_thread::sleep_for(200ms);
+    const std::size_t now = server.stats().stats_requests;
+    if (now == handled) break;
+    handled = now;
+  }
+  const std::size_t bound = kOutboxCapFrames * config.max_frame_bytes + 16384;
+  EXPECT_LE(server.stats().outbox_bytes, bound);
+  EXPECT_LT(server.stats().stats_requests, requests_sent);
+  EXPECT_GE(server.stats().backpressure_pauses, 1u);
+
+  // Now read: every request sent is answered, so the server resumed from
+  // the frames it had buffered.
+  std::size_t answered = 0;
+  char buf[65536];
+  const auto deadline = std::chrono::steady_clock::now() + 60s;
+  while (answered < requests_sent &&
+         std::chrono::steady_clock::now() < deadline) {
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n > 0) {
+      answered += static_cast<std::size_t>(
+          std::count(buf, buf + n, '\n'));
+    } else if (n == 0) {
+      break;
+    } else {
+      std::this_thread::sleep_for(1ms);
+    }
+  }
+  EXPECT_EQ(answered, requests_sent);
+  EXPECT_EQ(server.stats().stats_requests, requests_sent);
+  ::close(fd);
+  server.shutdown();
+  EXPECT_EQ(server.stats().outbox_bytes, 0u);
+}
+
 // Only connections turned away at the cap count as refused: admitted ones
 // that come and go, up to the cap, never do.
 TEST(DesignServer, ConnectionsUnderTheCapAreNotCountedAsRefused) {
