@@ -1,8 +1,9 @@
 #include "core/iir_metacore.hpp"
 
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
+
+#include "robust/json.hpp"
 
 namespace metacore::core {
 
@@ -188,20 +189,41 @@ search::EvaluateFn IirMetaCore::evaluator() const {
 }
 
 std::string IirMetaCore::evaluation_fingerprint() const {
+  // The persisted store's scope key: these bytes must never change (the
+  // core tests pin them against the original precision-17 ostream form).
+  using robust::append_g17;
   const dsp::FilterSpec& f = requirements_.filter;
-  std::ostringstream os;
-  os.precision(17);
-  os << "iir|band=" << static_cast<int>(f.band)
-     << "|family=" << static_cast<int>(f.family) << "|edges=" << f.pass_lo
-     << ',' << f.pass_hi << ',' << f.stop_lo << ',' << f.stop_hi
-     << "|ripple=" << f.passband_ripple_db << "|atten=" << f.stopband_atten_db
-     << "|order=" << f.order_override
-     << "|period=" << requirements_.sample_period_us
-     << "|tech=" << requirements_.tech.base_feature_um << ','
-     << requirements_.tech.feature_um << ','
-     << requirements_.tech.base_clock_mhz
-     << "|explore=" << requirements_.explore_family;
-  return os.str();
+  std::string fp;
+  fp.reserve(224);
+  fp += "iir|band=";
+  fp += std::to_string(static_cast<int>(f.band));
+  fp += "|family=";
+  fp += std::to_string(static_cast<int>(f.family));
+  fp += "|edges=";
+  append_g17(fp, f.pass_lo);
+  fp += ',';
+  append_g17(fp, f.pass_hi);
+  fp += ',';
+  append_g17(fp, f.stop_lo);
+  fp += ',';
+  append_g17(fp, f.stop_hi);
+  fp += "|ripple=";
+  append_g17(fp, f.passband_ripple_db);
+  fp += "|atten=";
+  append_g17(fp, f.stopband_atten_db);
+  fp += "|order=";
+  fp += std::to_string(f.order_override);
+  fp += "|period=";
+  append_g17(fp, requirements_.sample_period_us);
+  fp += "|tech=";
+  append_g17(fp, requirements_.tech.base_feature_um);
+  fp += ',';
+  append_g17(fp, requirements_.tech.feature_um);
+  fp += ',';
+  append_g17(fp, requirements_.tech.base_clock_mhz);
+  fp += "|explore=";
+  fp += requirements_.explore_family ? '1' : '0';
+  return fp;
 }
 
 search::SearchResult IirMetaCore::search(search::SearchConfig config) const {

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
+
+#include "robust/json.hpp"
 
 namespace metacore::core {
 
@@ -184,21 +185,42 @@ search::EvaluateFn ViterbiMetaCore::evaluator() const {
 }
 
 std::string ViterbiMetaCore::evaluation_fingerprint() const {
-  std::ostringstream os;
-  os.precision(17);
-  os << "viterbi|ber=" << requirements_.target_ber
-     << "|esn0=" << requirements_.esn0_db
-     << "|mbps=" << requirements_.throughput_mbps
-     << "|fixG=" << requirements_.fix_polynomial
-     << "|fixN=" << requirements_.fix_normalization
-     << "|shards=" << requirements_.ber_shards
-     << "|tech=" << requirements_.tech.base_feature_um << ','
-     << requirements_.tech.feature_um << ','
-     << requirements_.tech.base_clock_mhz
-     << "|sim=" << ber_base_.max_bits << ',' << ber_base_.min_bits << ','
-     << ber_base_.max_errors << ',' << ber_base_.seed << ','
-     << ber_base_.decision_ber << ',' << ber_base_.shards;
-  return os.str();
+  // The persisted store's scope key: these bytes must never change (the
+  // core tests pin them against the original precision-17 ostream form).
+  using robust::append_g17;
+  std::string fp;
+  fp.reserve(192);
+  fp += "viterbi|ber=";
+  append_g17(fp, requirements_.target_ber);
+  fp += "|esn0=";
+  append_g17(fp, requirements_.esn0_db);
+  fp += "|mbps=";
+  append_g17(fp, requirements_.throughput_mbps);
+  fp += "|fixG=";
+  fp += requirements_.fix_polynomial ? '1' : '0';
+  fp += "|fixN=";
+  fp += requirements_.fix_normalization ? '1' : '0';
+  fp += "|shards=";
+  fp += std::to_string(requirements_.ber_shards);
+  fp += "|tech=";
+  append_g17(fp, requirements_.tech.base_feature_um);
+  fp += ',';
+  append_g17(fp, requirements_.tech.feature_um);
+  fp += ',';
+  append_g17(fp, requirements_.tech.base_clock_mhz);
+  fp += "|sim=";
+  fp += std::to_string(ber_base_.max_bits);
+  fp += ',';
+  fp += std::to_string(ber_base_.min_bits);
+  fp += ',';
+  fp += std::to_string(ber_base_.max_errors);
+  fp += ',';
+  fp += std::to_string(ber_base_.seed);
+  fp += ',';
+  append_g17(fp, ber_base_.decision_ber);
+  fp += ',';
+  fp += std::to_string(ber_base_.shards);
+  return fp;
 }
 
 search::SearchResult ViterbiMetaCore::search(

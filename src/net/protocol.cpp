@@ -155,8 +155,7 @@ Request parse_request(const std::string& json) {
           std::string(kWhat) +
           ": kind \"query\" requires a 'query' object member");
     }
-    request.query = serve::parse_design_query(extract_raw_member(json,
-                                                                 "query"));
+    request.query = serve::parse_design_query(*query);
   } else if (kind.string == "stats") {
     request.kind = RequestKind::Stats;
   } else if (kind.string == "hello") {

@@ -143,7 +143,7 @@ std::string to_json(const ServerStats& stats) {
     if (i > 0) os << ',';
     os << stats.worker_depths[i];
   }
-  os << "]}";
+  os << "],\"inline_answers\":" << stats.inline_answers << '}';
   return os.str();
 }
 
@@ -178,7 +178,8 @@ struct DesignServer::PendingQuery {
   std::uint64_t conn_id = 0;
   std::string request_id;
   serve::DesignQuery query;
-  std::string fingerprint;  ///< from route_query; empty = not computed
+  std::string key;          ///< serve::to_json(query)
+  std::string fingerprint;  ///< from route_query; empty = unconstructible
   serve::WireEncoding encoding = serve::WireEncoding::Json;
   std::chrono::steady_clock::time_point arrival;
 };
@@ -725,17 +726,22 @@ void DesignServer::admit_request(Connection& conn, Request&& request) {
   }
 
   PendingQuery pending;
-  const std::size_t route = route_query(request.query, pending.fingerprint);
+  pending.arrival = std::chrono::steady_clock::now();
+  pending.conn_id = conn.id;
+  pending.request_id = std::move(request.id);
+  pending.query = std::move(request.query);
+  pending.encoding = encoding;
+  // The key and fingerprint are computed once, here: they route the
+  // query, look up a cached answer, and ride to the worker.
+  pending.key = serve::to_json(pending.query);
+  const std::size_t route =
+      route_query(pending.query, pending.key, pending.fingerprint);
   if (route == search_workers_) {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     ++stats_.fast_lane_queries;
   }
-  pending.conn_id = conn.id;
-  pending.request_id = request.id;
-  pending.query = std::move(request.query);
-  pending.encoding = encoding;
-  pending.arrival = std::chrono::steady_clock::now();
   Worker& worker = *workers_[route];
+  if (answer_inline(conn, worker, pending)) return;
   total_pending_.fetch_add(1);
   {
     std::lock_guard<std::mutex> lock(worker.mutex);
@@ -745,22 +751,68 @@ void DesignServer::admit_request(Connection& conn, Request&& request) {
 }
 
 std::size_t DesignServer::route_query(const serve::DesignQuery& query,
+                                      const std::string& key,
                                       std::string& fingerprint) const {
-  // Cheap kinds take the fast lane (the extra worker at the end): an
-  // archive probe must never wait behind a cold search.
-  if (query.archive_only) return search_workers_;
   try {
     fingerprint = serve::query_fingerprint(query);
   } catch (...) {
-    // Parseable but unconstructible (the search itself will surface the
-    // error): any stable route preserves ordering, use the canonical
-    // query bytes.
+    // Parseable but unconstructible: the search itself will surface the
+    // error.
     fingerprint.clear();
-    return serve::shard_index(serve::to_json(query), search_workers_);
   }
+  // Cheap kinds take the fast lane (the extra worker at the end): an
+  // archive probe must never wait behind a cold search.
+  if (query.archive_only) return search_workers_;
   // Same hash family as the store shards: one fingerprint -> one worker,
-  // so same-scope queries keep arrival order at any worker count.
-  return serve::shard_index(fingerprint, search_workers_);
+  // so same-scope queries keep arrival order at any worker count. Without
+  // a fingerprint any stable route preserves ordering: the query bytes.
+  return serve::shard_index(fingerprint.empty() ? key : fingerprint,
+                            search_workers_);
+}
+
+bool DesignServer::answer_inline(Connection& conn, Worker& worker,
+                                 const PendingQuery& pending) {
+  if (pending.fingerprint.empty()) return false;  // no scope to validate
+  {
+    // Only this thread enqueues, so a worker idle here stays idle until
+    // the query is answered: nothing admitted before it on its scope is
+    // queued or running, and the cache reflects all of it.
+    std::lock_guard<std::mutex> lock(worker.mutex);
+    if (!worker.queue.empty() || worker.in_flight != 0) return false;
+  }
+  {
+    // A finished answer not yet written out goes first: same-scope
+    // responses reach the connection in arrival order.
+    std::lock_guard<std::mutex> lock(completion_mutex_);
+    if (!completions_.empty()) return false;
+  }
+  const std::shared_ptr<const std::string> bytes = service_->lookup_encoded(
+      pending.key, pending.fingerprint, pending.encoding);
+  if (!bytes) return false;
+  const std::string envelope =
+      design_envelope(pending.encoding, pending.request_id, *bytes);
+  {
+    std::lock_guard<std::mutex> lock(stats_mutex_);
+    ++stats_.queries_served;
+    ++stats_.inline_answers;
+    record_latency(pending.arrival, std::chrono::steady_clock::now());
+  }
+  enqueue_response(conn, envelope);
+  return true;
+}
+
+void DesignServer::record_latency(
+    std::chrono::steady_clock::time_point arrival,
+    std::chrono::steady_clock::time_point ready) {
+  const double ms =
+      std::chrono::duration<double, std::milli>(ready - arrival).count();
+  if (latency_window_.size() < kLatencyWindow) {
+    latency_window_.push_back(ms);
+  } else {
+    latency_window_[latency_next_ % kLatencyWindow] = ms;
+  }
+  ++latency_next_;
+  ++stats_.latency_samples;
 }
 
 void DesignServer::enqueue_response(Connection& conn,
@@ -891,6 +943,7 @@ void DesignServer::worker_loop(Worker& worker) {
     for (std::size_t i = 0; i < batch.size(); ++i) {
       items[i].query = std::move(batch[i].query);
       items[i].encoding = batch[i].encoding;
+      items[i].key = std::move(batch[i].key);
       items[i].fingerprint = std::move(batch[i].fingerprint);
     }
 
@@ -932,16 +985,7 @@ void DesignServer::worker_loop(Worker& worker) {
       stats_.queries_served += served;
       stats_.query_errors += errors;
       for (const PendingQuery& pending : batch) {
-        const double ms =
-            std::chrono::duration<double, std::milli>(now - pending.arrival)
-                .count();
-        if (latency_window_.size() < kLatencyWindow) {
-          latency_window_.push_back(ms);
-        } else {
-          latency_window_[latency_next_ % kLatencyWindow] = ms;
-        }
-        ++latency_next_;
-        ++stats_.latency_samples;
+        record_latency(pending.arrival, now);
       }
     }
     {

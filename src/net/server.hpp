@@ -10,7 +10,13 @@
 //     It never executes a query — `stats` requests (and malformed-frame
 //     errors) are answered inline so they can never queue behind a cold
 //     search; `query` requests are admitted into bounded per-worker
-//     queues.
+//     queues. The one exception is a repeat whose encoded answer is
+//     already cached and valid (DesignService::lookup_encoded): when the
+//     worker its scope routes to is idle (nothing queued, nothing running,
+//     no finished answer still waiting for the I/O thread) the cached
+//     bytes are written at once, with no hand-off. An idle worker stays
+//     idle until the I/O thread enqueues, so such an answer can never
+//     overtake a same-scope query admitted before it.
 //   * W dispatch workers (ServerConfig::search_workers, env
 //     METACORE_SERVER_WORKERS, default = hardware concurrency). An
 //     admitted search query is routed to worker
@@ -160,6 +166,9 @@ struct ServerStats {
   /// Queued + running queries per worker right now; the last entry is the
   /// fast lane.
   std::vector<std::size_t> worker_depths;
+  /// Queries answered on the I/O thread from cached bytes, without a
+  /// dispatch worker (also counted in queries_served).
+  std::size_t inline_answers = 0;
 };
 
 std::string to_json(const ServerStats& stats);
@@ -213,12 +222,22 @@ class DesignServer {
 
   void io_loop();
   void worker_loop(Worker& worker);
-  /// Worker index for an admitted query: fingerprint-hash routing for
-  /// searches, the fast lane (last worker) for archive_only. Leaves the
-  /// query's fingerprint in `fingerprint` when it computed one (empty for
-  /// the fast lane and for queries whose evaluator cannot be built).
+  /// Worker index for an admitted query with canonical key `key`:
+  /// fingerprint-hash routing for searches, the fast lane (last worker)
+  /// for archive_only. Leaves the query's fingerprint in `fingerprint`
+  /// (empty for queries whose evaluator cannot be built).
   std::size_t route_query(const serve::DesignQuery& query,
+                          const std::string& key,
                           std::string& fingerprint) const;
+  /// Answers `pending` on the I/O thread from the service's cached bytes
+  /// when `worker` is idle and the bytes are valid; false = not answered
+  /// (the caller enqueues it as usual).
+  bool answer_inline(Connection& conn, Worker& worker,
+                     const PendingQuery& pending);
+  /// Adds one latency sample (admission to response-ready); the caller
+  /// holds stats_mutex_.
+  void record_latency(std::chrono::steady_clock::time_point arrival,
+                      std::chrono::steady_clock::time_point ready);
   void accept_ready();
   bool shed_connection();
   void connection_readable(Connection& conn);

@@ -263,4 +263,11 @@ void write_double(std::ostream& os, double v) {
   }
 }
 
+void append_g17(std::string& out, double v) {
+  char buf[32];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v,
+                                       std::chars_format::general, 17);
+  out.append(buf, end);
+}
+
 }  // namespace metacore::robust

@@ -53,4 +53,9 @@ void write_escaped(std::ostream& os, const std::string& s);
 /// use the bare tokens inf/-inf/nan that parse_json reads back.
 void write_double(std::ostream& os, double v);
 
+/// Appends `v` exactly as printf's "%.17g" (and an ostream at precision
+/// 17) writes it, non-finite spellings included ("inf", "-nan"): the format
+/// of the persisted evaluator fingerprints.
+void append_g17(std::string& out, double v);
+
 }  // namespace metacore::robust

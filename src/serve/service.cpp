@@ -163,7 +163,10 @@ std::string to_json(const DesignQuery& query) {
 }
 
 DesignQuery parse_design_query(const std::string& json) {
-  const JsonValue doc = robust::parse_json(json, kWhat);
+  return parse_design_query(robust::parse_json(json, kWhat));
+}
+
+DesignQuery parse_design_query(const JsonValue& doc) {
   if (doc.type != JsonValue::Type::Object) {
     throw std::runtime_error(std::string(kWhat) +
                              ": document must be an object");
@@ -433,17 +436,17 @@ std::shared_ptr<const std::string> DesignService::submit_encoded(
           encoded = std::make_shared<const std::string>(
               encode_response(it->second.response, encoding));
         }
-        {
-          std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-          ++stats_.queries;
-          ++stats_.response_cache_hits;
-        }
+        count_cache_hit();
         return encoded;
       }
       // The store or archive generation moved: the entry may no longer
       // match what a fresh run would answer (store_hits, archive
-      // population). Drop it.
+      // population). Drop it, and its place in the eviction order: a
+      // re-cached key is a new insertion.
       response_cache_.erase(it);
+      const auto queued =
+          std::find(cache_fifo_.begin(), cache_fifo_.end(), key);
+      if (queued != cache_fifo_.end()) cache_fifo_.erase(queued);
       std::lock_guard<std::mutex> stats_lock(stats_mutex_);
       ++stats_.response_cache_invalidations;
     }
@@ -467,11 +470,10 @@ std::shared_ptr<const std::string> DesignService::submit_encoded(
       cache_fifo_.push_back(key);
       it->second.gen = g1;
       it->second.response = std::move(response);
-      // FIFO eviction, skipping keys an invalidation already erased.
-      while (response_cache_.size() > cache_capacity_ &&
-             !cache_fifo_.empty()) {
+      // FIFO eviction: the queue holds exactly the cached keys.
+      while (response_cache_.size() > cache_capacity_) {
         response_cache_.erase(cache_fifo_.front());
-        cache_fifo_.erase(cache_fifo_.begin());
+        cache_fifo_.pop_front();
       }
     } else if (it->second.gen != g1) {
       it->second = CachedResponse{};
@@ -493,16 +495,17 @@ DesignService::submit_batch_encoded(const std::vector<EncodedQuery>& items) {
 
   // Deduplicate identical (query, encoding) pairs up front — same
   // rationale as submit_batch: byte-identical output at any thread count.
-  // Each item's canonical key is computed here once and carried down.
+  // Each item's canonical key is computed at most once and carried down.
   std::map<std::pair<std::string, int>, std::size_t> first_of;
   std::vector<std::size_t> slot_of(items.size());
   std::vector<std::size_t> unique;
   std::vector<const std::string*> unique_key;
   std::size_t duplicates = 0;
   for (std::size_t i = 0; i < items.size(); ++i) {
+    const EncodedQuery& item = items[i];
     auto [it, inserted] = first_of.emplace(
-        std::make_pair(to_json(items[i].query),
-                       static_cast<int>(items[i].encoding)),
+        std::make_pair(item.key.empty() ? to_json(item.query) : item.key,
+                       static_cast<int>(item.encoding)),
         unique.size());
     if (inserted) {
       unique.push_back(i);
@@ -549,6 +552,30 @@ DesignService::submit_batch_encoded(const std::vector<EncodedQuery>& items) {
     out[i] = unique_out[slot_of[i]];
   }
   return out;
+}
+
+std::shared_ptr<const std::string> DesignService::lookup_encoded(
+    const std::string& key, const std::string& fingerprint,
+    WireEncoding encoding) {
+  if (cache_capacity_ == 0) return nullptr;
+  // The hit branch of submit_encoded, minus its writes: same generation
+  // rule, and a missing encoding is a miss here, not a fill.
+  const Generation gen = current_generation(fingerprint);
+  std::shared_ptr<const std::string> bytes;
+  {
+    std::lock_guard<std::mutex> cache_lock(cache_mutex_);
+    const auto it = response_cache_.find(key);
+    if (it == response_cache_.end() || it->second.gen != gen) return nullptr;
+    bytes = it->second.encoded[static_cast<std::size_t>(encoding)];
+  }
+  if (bytes) count_cache_hit();
+  return bytes;
+}
+
+void DesignService::count_cache_hit() {
+  std::lock_guard<std::mutex> stats_lock(stats_mutex_);
+  ++stats_.queries;
+  ++stats_.response_cache_hits;
 }
 
 std::size_t DesignService::response_cache_size() const {

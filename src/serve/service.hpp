@@ -24,6 +24,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -36,6 +37,10 @@
 #include "core/viterbi_metacore.hpp"
 #include "search/multires_search.hpp"
 #include "serve/store.hpp"
+
+namespace metacore::robust {
+struct JsonValue;  // robust/json.hpp
+}  // namespace metacore::robust
 
 namespace metacore::serve {
 
@@ -89,6 +94,9 @@ struct DesignQuery {
 /// coalescing key) and every query/response round-trips exactly.
 std::string to_json(const DesignQuery& query);
 DesignQuery parse_design_query(const std::string& json);
+/// The same, from an already parsed document (the wire protocol parses a
+/// request frame once and hands its "query" member here).
+DesignQuery parse_design_query(const robust::JsonValue& doc);
 
 /// The query's evaluator scope: which store entries and which Pareto
 /// archive it reads and feeds. Cheap (constructing a metacore runs no
@@ -195,6 +203,9 @@ class DesignService {
   struct EncodedQuery {
     DesignQuery query;
     WireEncoding encoding = WireEncoding::Json;
+    /// to_json(query) when the caller already computed it; empty =
+    /// computed here.
+    std::string key;
     /// query_fingerprint(query) when the caller already computed it (the
     /// server routes by it); empty = computed here.
     std::string fingerprint;
@@ -206,6 +217,16 @@ class DesignService {
   /// exec thread pool — same determinism contract as submit_batch.
   std::vector<std::shared_ptr<const std::string>> submit_batch_encoded(
       const std::vector<EncodedQuery>& items);
+
+  /// The read-only fast path of submit_encoded, for a caller that holds
+  /// the query's canonical key (to_json) and evaluator fingerprint: the
+  /// cached bytes when the entry is valid for the scope's current
+  /// generation and already holds this encoding, counted exactly like a
+  /// submit_encoded hit. nullptr otherwise, with nothing counted, filled
+  /// or dropped: submit_encoded then does the real work.
+  std::shared_ptr<const std::string> lookup_encoded(
+      const std::string& key, const std::string& fingerprint,
+      WireEncoding encoding);
 
   /// Entries currently held by the serialized-response cache.
   std::size_t response_cache_size() const;
@@ -254,15 +275,17 @@ class DesignService {
   void absorb_history(const std::string& fingerprint,
                       const std::vector<search::EvaluatedPoint>& history);
   Generation current_generation(const std::string& fingerprint) const;
+  /// Counts one query answered from the serialized-response cache.
+  void count_cache_hit();
 
   std::shared_ptr<EvaluationStore> store_;
   std::size_t cache_capacity_ = 0;
 
   mutable std::mutex cache_mutex_;
   std::map<std::string, CachedResponse> response_cache_;
-  /// Insertion order for FIFO eviction; stale keys (erased by an
-  /// invalidation) are skipped lazily when they reach the front.
-  std::vector<std::string> cache_fifo_;
+  /// Insertion order for FIFO eviction: every cached key exactly once,
+  /// oldest first (an invalidation removes the key too).
+  std::deque<std::string> cache_fifo_;
 
   std::mutex registry_mutex_;
   std::map<std::string, std::shared_ptr<InFlight>> in_flight_;

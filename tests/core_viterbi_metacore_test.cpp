@@ -2,6 +2,15 @@
 // a small end-to-end search.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <random>
+#include <sstream>
+#include <string>
+
 #include "core/viterbi_metacore.hpp"
 
 namespace metacore::core {
@@ -138,6 +147,89 @@ TEST(ViterbiMetaCore, RejectsBadRequirements) {
 TEST(ViterbiMetaCore, RejectsWrongPointArity) {
   ViterbiMetaCore core(easy_requirements());
   EXPECT_THROW(core.decode_point({1, 2, 3}), std::invalid_argument);
+}
+
+/// The fingerprint as it was first written, through an ostream at
+/// precision 17. Fingerprints are the persisted store's scope keys, so every
+/// later implementation must reproduce these bytes exactly.
+std::string stream_fingerprint(const ViterbiRequirements& req,
+                               const comm::BerRunConfig& ber) {
+  std::ostringstream os;
+  os.precision(17);
+  os << "viterbi|ber=" << req.target_ber << "|esn0=" << req.esn0_db
+     << "|mbps=" << req.throughput_mbps << "|fixG=" << req.fix_polynomial
+     << "|fixN=" << req.fix_normalization << "|shards=" << req.ber_shards
+     << "|tech=" << req.tech.base_feature_um << ',' << req.tech.feature_um
+     << ',' << req.tech.base_clock_mhz << "|sim=" << ber.max_bits << ','
+     << ber.min_bits << ',' << ber.max_errors << ',' << ber.seed << ','
+     << ber.decision_ber << ',' << ber.shards;
+  return os.str();
+}
+
+/// Any double: hand-picked edges, raw bit patterns (NaN payloads, signed
+/// zeros, subnormals), and short decimals.
+double edge_double(std::mt19937_64& rng) {
+  static const double kEdges[] = {
+      0.0, -0.0, 1.0, -1.0, 0.1, 1e-4, 0.35, 81.0, 1e16, 1e17, 1e300,
+      -1e-300, 9007199254740993.0, DBL_MIN, -DBL_MIN, DBL_TRUE_MIN, DBL_MAX,
+      -DBL_MAX, DBL_EPSILON, std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN()};
+  switch (rng() % 4) {
+    case 0:
+      return kEdges[rng() % std::size(kEdges)];
+    case 1:
+      return std::bit_cast<double>(rng());
+    case 2:
+      return std::uniform_real_distribution<double>(-1e6, 1e6)(rng);
+    default:
+      return static_cast<double>(static_cast<std::int64_t>(rng() % 2000001) -
+                                 1000000) /
+             1000.0;
+  }
+}
+
+/// A double in (0, limit_bits) by bit pattern: every positive subnormal and
+/// normal below the bound is reachable.
+double positive_below(std::mt19937_64& rng, std::uint64_t limit_bits) {
+  return std::bit_cast<double>(1 + rng() % (limit_bits - 1));
+}
+
+TEST(ViterbiMetaCore, FingerprintBytesMatchTheStreamFormatting) {
+  // A literal pin: the default-budget fingerprint of the easy requirements.
+  const ViterbiMetaCore easy(easy_requirements());
+  EXPECT_EQ(easy.evaluation_fingerprint(),
+            "viterbi|ber=0.01|esn0=2|mbps=1|fixG=1|fixN=1|shards=8|"
+            "tech=0.34999999999999998,0.34999999999999998,81|"
+            "sim=10000,8000,100,12648430,0,1");
+
+  std::mt19937_64 rng(20011018);
+  constexpr std::uint64_t kOneBits = 0x3FF0000000000000ull;  // 1.0
+  constexpr std::uint64_t kInfBits = 0x7FF0000000000001ull;  // past +inf
+  for (int i = 0; i < 100000; ++i) {
+    ViterbiRequirements req;
+    req.target_ber = positive_below(rng, kOneBits);  // (0, 1)
+    req.esn0_db = edge_double(rng);
+    req.throughput_mbps = positive_below(rng, kInfBits);  // (0, +inf]
+    req.tech.base_feature_um = edge_double(rng);
+    req.tech.feature_um = edge_double(rng);
+    req.tech.base_clock_mhz = edge_double(rng);
+    req.fix_polynomial = (rng() & 1) != 0;
+    req.fix_normalization = (rng() & 1) != 0;
+    req.ber_shards = static_cast<int>(static_cast<std::uint32_t>(rng()));
+    req.ber_lanes = static_cast<int>(rng() % 64);
+    comm::BerRunConfig ber;
+    ber.max_bits = rng() >> (rng() % 64);
+    ber.min_bits = rng() >> (rng() % 64);
+    ber.max_errors = rng() >> (rng() % 64);
+    ber.seed = rng();
+    ber.decision_ber = edge_double(rng);
+    ber.shards = static_cast<int>(static_cast<std::uint32_t>(rng()));
+    const ViterbiMetaCore core(req, ber);
+    ASSERT_EQ(core.evaluation_fingerprint(), stream_fingerprint(req, ber))
+        << "case " << i;
+  }
 }
 
 TEST(Describe, FormatsSpecAndArea) {

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <functional>
 #include <memory>
@@ -30,6 +31,7 @@
 
 #include "net/client.hpp"
 #include "net/server.hpp"
+#include "serve/binary_codec.hpp"
 #include "serve/service.hpp"
 
 namespace metacore::net {
@@ -87,6 +89,29 @@ bool wait_until(const std::function<bool()>& condition,
     std::this_thread::sleep_for(2ms);
   }
   return condition();
+}
+
+/// True when METACORE_RESPONSE_CACHE=0 turns the response cache off for
+/// every service in the process; the cases that expect cached answers then
+/// have nothing to test.
+bool cache_disabled_by_env() {
+  const char* env = std::getenv("METACORE_RESPONSE_CACHE");
+  return env != nullptr && std::strcmp(env, "0") == 0;
+}
+
+constexpr const char* kNoCache =
+    "METACORE_RESPONSE_CACHE=0 disables the response cache this case tests";
+
+/// One integer counter of the server's `stats` reply, read over `client`.
+std::size_t stats_counter(DesignClient& client, const std::string& name) {
+  const WireResponse stats = client.stats();
+  const std::string key = "\"" + name + "\":";
+  const std::size_t at = stats.stats_json.find(key);
+  if (!stats.ok() || at == std::string::npos) {
+    ADD_FAILURE() << "no counter " << name << " in " << stats.stats_json;
+    return 0;
+  }
+  return std::stoull(stats.stats_json.substr(at + key.size()));
 }
 
 TEST(DesignServer, StartsOnEphemeralPortAndStopsIdempotently) {
@@ -454,6 +479,150 @@ TEST(DesignServer, FastLaneAnswersCheapQueriesDuringASlowSearch) {
   EXPECT_NE(stats.stats_json.find("\"worker_depths\":["), std::string::npos);
 
   EXPECT_TRUE(busy.recv_matching("slow").ok());
+  server.shutdown();
+}
+
+TEST(DesignServer, CachedRepeatsAreAnsweredInlineOnTextAndBinaryWires) {
+  if (cache_disabled_by_env()) GTEST_SKIP() << kNoCache;
+  auto service = std::make_shared<serve::DesignService>();
+  DesignServer server(service, loopback_config());
+  server.start();
+  const serve::DesignQuery query = tiny_query(4.0);
+
+  DesignClient text;
+  text.connect("127.0.0.1", server.port());
+  // The cold run grows the scope's archive, so its repeat is the run that
+  // gets cached; both go through a dispatch worker.
+  ASSERT_TRUE(text.query(query).ok());
+  ASSERT_TRUE(text.query(query).ok());
+  EXPECT_EQ(stats_counter(text, "inline_answers"), 0u);
+  const WireResponse text_hit = text.query(query);
+  ASSERT_TRUE(text_hit.ok()) << text_hit.reason;
+  EXPECT_EQ(stats_counter(text, "inline_answers"), 1u);
+  EXPECT_EQ(text_hit.response_json,
+            *service->submit_encoded(query, serve::WireEncoding::Json));
+
+  DesignClient binary;
+  binary.connect("127.0.0.1", server.port());
+  ASSERT_TRUE(binary.negotiate_binary());
+  // The entry has no binary bytes yet: a worker fills them, and the next
+  // binary repeat is answered inline.
+  ASSERT_TRUE(binary.query(query).ok());
+  EXPECT_EQ(stats_counter(binary, "inline_answers"), 1u);
+  const WireResponse binary_hit = binary.query(query);
+  ASSERT_TRUE(binary_hit.ok()) << binary_hit.reason;
+  EXPECT_EQ(stats_counter(binary, "inline_answers"), 2u);
+  // The client decodes a binary body and re-serializes it canonically.
+  EXPECT_EQ(binary_hit.response_json,
+            serve::to_json(serve::decode_design_response(
+                *service->submit_encoded(query, serve::WireEncoding::Binary))));
+  EXPECT_EQ(binary_hit.response_json, text_hit.response_json);
+
+  // Inline answers are served queries with a latency sample like any other.
+  EXPECT_EQ(stats_counter(text, "queries_served"), 5u);
+  EXPECT_EQ(stats_counter(text, "latency_samples"), 5u);
+  server.shutdown();
+}
+
+TEST(DesignServer, ACachedRepeatPipelinedBehindAStoreAppendWaitsForIt) {
+  if (cache_disabled_by_env()) GTEST_SKIP() << kNoCache;
+  const std::string store_path = temp_store_path("net_inline_order.store");
+  serve::ServiceConfig service_config;
+  service_config.store_path = store_path;
+  auto service = std::make_shared<serve::DesignService>(service_config);
+  DesignServer server(service, loopback_config());
+  server.start();
+  DesignClient client;
+  client.connect("127.0.0.1", server.port());
+
+  const serve::DesignQuery repeat = tiny_query(5.0);
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(client.query(repeat).ok());
+  ASSERT_EQ(stats_counter(client, "inline_answers"), 1u);
+  const std::size_t invalidations =
+      service->stats().response_cache_invalidations;
+
+  // A wider search on the same scope appends to its store shard. The cached
+  // repeat pipelined right behind it must not be answered from the bytes
+  // cached before the append: it runs after the search, finds its entry
+  // stale, and answers afresh.
+  serve::DesignQuery wider = repeat;
+  wider.budget.initial_points_per_dim = 3;
+  wider.budget.max_evaluations = 48;
+  client.send_query("wider", wider);
+  client.send_query("repeat", repeat);
+  const WireResponse first = client.recv_response();
+  const WireResponse second = client.recv_response();
+  EXPECT_EQ(first.id, "wider");
+  EXPECT_EQ(second.id, "repeat");
+  ASSERT_TRUE(first.ok()) << first.reason;
+  ASSERT_TRUE(second.ok()) << second.reason;
+  EXPECT_EQ(service->stats().response_cache_invalidations, invalidations + 1);
+  EXPECT_EQ(stats_counter(client, "inline_answers"), 1u);
+  server.shutdown();
+  EXPECT_EQ(second.response_json, serve::to_json(service->submit(repeat)));
+  std::remove(store_path.c_str());
+}
+
+TEST(DesignServer, WithTheResponseCacheOffNothingIsAnsweredInline) {
+  serve::ServiceConfig service_config;
+  service_config.response_cache_capacity = 0;
+  auto service = std::make_shared<serve::DesignService>(service_config);
+  DesignServer server(service, loopback_config());
+  server.start();
+  DesignClient client;
+  client.connect("127.0.0.1", server.port());
+  std::string first;
+  for (int i = 0; i < 3; ++i) {
+    const WireResponse response = client.query(tiny_query(4.0));
+    ASSERT_TRUE(response.ok()) << response.reason;
+    if (i == 0) first = response.response_json;
+    EXPECT_EQ(response.response_json, first);
+  }
+  EXPECT_EQ(stats_counter(client, "inline_answers"), 0u);
+  EXPECT_EQ(stats_counter(client, "queries_served"), 3u);
+  EXPECT_EQ(service->stats().response_cache_hits, 0u);
+  server.shutdown();
+}
+
+TEST(DesignServer, MalformedQueryDocumentsKeepTheirErrorText) {
+  auto service = std::make_shared<serve::DesignService>();
+  DesignServer server(service, loopback_config());
+  server.start();
+  DesignClient client;
+  client.connect("127.0.0.1", server.port());
+  const std::pair<std::string, std::string> cases[] = {
+      {R"({"id":"m1","kind":"query","query":"viterbi"})",
+       R"(request: kind "query" requires a 'query' object member)"},
+      {R"({"id":"m2","kind":"query","query":{"kind":"fpga"}})",
+       R"(query: 'kind' must be "viterbi" or "iir")"},
+      {R"({"id":"m3","kind":"query","query":{"kind":"viterbi","target_ber":"low"}})",
+       R"(query: field 'target_ber' must be a number)"},
+      {R"({"id":"m4","kind":"query","query":{"kind":"iir","budget":[]}})",
+       R"(query: 'budget' must be an object)"},
+      {R"({"id":"m5","kind":"query","query":{"kind":"viterbi","archive_only":1}})",
+       R"(query: field 'archive_only' must be a boolean)"},
+      {R"({"id":"m6","kind":"query","query":{"kind":"viterbi","constraints":{}}})",
+       R"(query: 'constraints' must be an array)"},
+      {R"({"id":"m7","kind":"query","query":{"kind":"viterbi","constraints":[3]}})",
+       R"(query: each constraint must be an object)"},
+      {R"({"id":"m8","kind":"query","query":{"kind":"viterbi","constraints":[{"kind":"side","metric":"ber","bound":1}]}})",
+       R"(query: constraint 'kind' must be "upper" or "lower")"},
+      {R"({"id":"m9","kind":"query","query":{"kind":"viterbi","constraints":[{"bound":1}]}})",
+       R"(query: missing field "metric")"},
+      {R"({"id":"m10","kind":"query","query":{"kind":"viterbi","constraints":[{"metric":"ber","bound":"1"}]}})",
+       R"(query: field "bound" has the wrong type)"},
+      {R"({"id":"m11","kind":"query","query":{"kind":"viterbi","minimize":7}})",
+       R"(query: field 'minimize' must be a string)"},
+  };
+  for (const auto& [frame, message] : cases) {
+    client.send_raw(frame);
+    const WireResponse err = client.recv_response();
+    EXPECT_EQ(err.status, "error") << frame;
+    EXPECT_EQ(err.reason, message) << frame;
+    EXPECT_EQ(err.id, frame.substr(7, frame.find('"', 7) - 7)) << frame;
+  }
+  EXPECT_EQ(stats_counter(client, "malformed_frames"),
+            std::size(cases));
   server.shutdown();
 }
 

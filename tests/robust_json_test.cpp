@@ -1,8 +1,10 @@
-// Byte parity of the JSON text writers: write_double against printf's
-// "%.17g" over seeded bit patterns and edge values, and write_escaped
-// against a per-character reference over every byte value and random
-// strings. Every store journal, archive point and response is written by
-// these two functions, so a single differing byte would change them all.
+// Byte parity of the JSON text writers: write_double and append_g17
+// against printf's "%.17g" over seeded bit patterns and edge values, and
+// write_escaped against a per-character reference over every byte value
+// and random strings. Every store journal, archive point and response is
+// written by write_double and write_escaped, and every evaluator
+// fingerprint (the store's scope key) by append_g17, so a single differing
+// byte would change them all.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -60,6 +62,28 @@ TEST(WriteDouble, MatchesPrintfOnEdgeValues) {
   for (int e = -320; e <= 308; ++e) values.push_back(std::pow(10.0, e));
   for (const double v : values) {
     EXPECT_EQ(written(v), printf_17g(v))
+        << "bits 0x" << std::hex << std::bit_cast<std::uint64_t>(v);
+  }
+}
+
+TEST(AppendG17, MatchesPrintfOnAnyBitPatternNonFiniteIncluded) {
+  const auto appended = [](double v) {
+    std::string out = "x";  // appends, never overwrites
+    append_g17(out, v);
+    return out;
+  };
+  std::vector<double> values = {
+      std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(), 0.0, -0.0, DBL_MAX,
+      std::numeric_limits<double>::denorm_min(), 0.35, 1e-4};
+  util::CounterRng rng(0x673137ULL);
+  for (int i = 0; i < 200'000; ++i) {
+    values.push_back(std::bit_cast<double>(rng()));
+  }
+  for (const double v : values) {
+    ASSERT_EQ(appended(v), "x" + printf_17g(v))
         << "bits 0x" << std::hex << std::bit_cast<std::uint64_t>(v);
   }
 }

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -26,6 +28,18 @@ std::string temp_store_path(const char* name) {
   std::filesystem::remove_all(path + ".d", ec);
   return path;
 }
+
+/// True when METACORE_RESPONSE_CACHE=0 turns the cache off for every
+/// service in the process: the cases that pin cache hits, invalidations and
+/// evictions then have no cache to test. (The cache-off path itself is
+/// covered by CapacityZeroDisablesCaching and the server suites.)
+bool cache_disabled_by_env() {
+  const char* env = std::getenv("METACORE_RESPONSE_CACHE");
+  return env != nullptr && std::strcmp(env, "0") == 0;
+}
+
+constexpr const char* kNoCache =
+    "METACORE_RESPONSE_CACHE=0 disables the response cache this case tests";
 
 /// Cheap Viterbi query (loose BER target, tiny budget).
 DesignQuery tiny_query(double mbps = 1.0) {
@@ -53,6 +67,7 @@ std::shared_ptr<const std::string> warm_cache(DesignService& service,
 }
 
 TEST(ResponseCache, WarmRepeatHitsWithBytesIdenticalToAFreshSubmit) {
+  if (cache_disabled_by_env()) GTEST_SKIP() << kNoCache;
   DesignService service;
   const DesignQuery query = tiny_query();
 
@@ -78,6 +93,7 @@ TEST(ResponseCache, WarmRepeatHitsWithBytesIdenticalToAFreshSubmit) {
 }
 
 TEST(ResponseCache, EncodingsShareOneEntryAndStayConsistent) {
+  if (cache_disabled_by_env()) GTEST_SKIP() << kNoCache;
   DesignService service;
   const DesignQuery query = tiny_query();
   const auto json = warm_cache(service, query, WireEncoding::Json);
@@ -98,6 +114,7 @@ TEST(ResponseCache, EncodingsShareOneEntryAndStayConsistent) {
 }
 
 TEST(ResponseCache, StoreAppendInvalidatesTheEntry) {
+  if (cache_disabled_by_env()) GTEST_SKIP() << kNoCache;
   ServiceConfig config;
   config.store_path = temp_store_path("cache_append.jsonl");
   DesignService service(config);
@@ -122,6 +139,7 @@ TEST(ResponseCache, StoreAppendInvalidatesTheEntry) {
 }
 
 TEST(ResponseCache, CompactionInvalidatesTheEntry) {
+  if (cache_disabled_by_env()) GTEST_SKIP() << kNoCache;
   ServiceConfig config;
   config.store_path = temp_store_path("cache_compact.jsonl");
   DesignService service(config);
@@ -176,6 +194,7 @@ TEST(ResponseCache, CapacityZeroDisablesCaching) {
 }
 
 TEST(ResponseCache, FifoEvictionHonorsTheCapacity) {
+  if (cache_disabled_by_env()) GTEST_SKIP() << kNoCache;
   ServiceConfig config;
   config.response_cache_capacity = 1;
   DesignService service(config);
@@ -192,6 +211,42 @@ TEST(ResponseCache, FifoEvictionHonorsTheCapacity) {
   const std::size_t hits_before = service.stats().response_cache_hits;
   service.submit_encoded(a, WireEncoding::Json);
   EXPECT_EQ(service.stats().response_cache_hits, hits_before);
+}
+
+TEST(ResponseCache, ARecachedKeyIsEvictedByItsNewInsertion) {
+  if (cache_disabled_by_env()) GTEST_SKIP() << kNoCache;
+  ServiceConfig config;
+  config.response_cache_capacity = 2;
+  DesignService service(config);
+  const DesignQuery a = tiny_query(1.0);
+  const DesignQuery b = tiny_query(2.0);
+  const DesignQuery c = tiny_query(3.0);
+  warm_cache(service, a, WireEncoding::Json);
+  warm_cache(service, b, WireEncoding::Json);
+  ASSERT_EQ(service.response_cache_size(), 2u);
+
+  // A wider search on a's scope grows its archive, so a's entry goes
+  // stale; a's next repeat drops it and caches a again. Insertion order is
+  // now b, a.
+  DesignQuery wider = a;
+  wider.budget.initial_points_per_dim = 3;
+  wider.budget.max_evaluations = 48;
+  service.submit(wider);
+  const std::size_t invalidations =
+      service.stats().response_cache_invalidations;
+  service.submit_encoded(a, WireEncoding::Json);
+  ASSERT_EQ(service.stats().response_cache_invalidations, invalidations + 1);
+  ASSERT_EQ(service.response_cache_size(), 2u);
+
+  // Caching c evicts the oldest insertion, b. The entry a had before its
+  // invalidation must not count as an older insertion of a.
+  warm_cache(service, c, WireEncoding::Json);
+  EXPECT_EQ(service.response_cache_size(), 2u);
+  const std::size_t hits = service.stats().response_cache_hits;
+  service.submit_encoded(a, WireEncoding::Json);
+  EXPECT_EQ(service.stats().response_cache_hits, hits + 1) << "a was evicted";
+  service.submit_encoded(b, WireEncoding::Json);
+  EXPECT_EQ(service.stats().response_cache_hits, hits + 1) << "b stayed";
 }
 
 TEST(ResponseCache, BatchDeduplicatesIdenticalEncodedQueries) {
