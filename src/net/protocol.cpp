@@ -189,6 +189,31 @@ std::string best_effort_request_id(const std::string& json) {
   return {};
 }
 
+std::optional<QueryFrameSplit> split_query_frame(std::string_view frame) {
+  constexpr std::string_view kHead = "{\"id\":\"";
+  constexpr std::string_view kMiddle = "\",\"kind\":\"query\",\"query\":";
+  if (!frame.starts_with(kHead) || !frame.ends_with('}')) return std::nullopt;
+  // The id runs to the first quote or backslash, looked for no further
+  // than one byte past the longest id allowed.
+  const std::size_t id_end =
+      frame.substr(0, kHead.size() + kMaxRequestIdBytes + 1)
+          .find_first_of("\"\\", kHead.size());
+  if (id_end == std::string_view::npos || frame[id_end] != '"') {
+    return std::nullopt;
+  }
+  const std::size_t id_size = id_end - kHead.size();
+  if (id_size == 0 || id_size > kMaxRequestIdBytes) return std::nullopt;
+  if (frame.substr(id_end).substr(0, kMiddle.size()) != kMiddle) {
+    return std::nullopt;
+  }
+  // kMiddle ends in ':' and the frame in '}', so the rest is well-defined
+  // (possibly empty).
+  const std::size_t rest_begin = id_end + kMiddle.size();
+  return QueryFrameSplit{
+      frame.substr(kHead.size(), id_size),
+      frame.substr(rest_begin, frame.size() - 1 - rest_begin)};
+}
+
 namespace {
 
 std::string envelope_prefix(const std::string& id, const char* status) {

@@ -49,6 +49,7 @@
 // response bytes straight into the frame.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -80,6 +81,22 @@ Request parse_request(const std::string& json);
 /// Best-effort id recovery from a frame that failed parse_request, so the
 /// error response can still be correlated; "" when unrecoverable.
 std::string best_effort_request_id(const std::string& json);
+
+/// The two parts of a text query frame in the exact layout to_json(Request)
+/// writes: {"id":"<id>","kind":"query","query":<rest>}.
+struct QueryFrameSplit {
+  std::string_view id;    ///< 1..kMaxRequestIdBytes bytes, no '"' or '\\'
+  std::string_view rest;  ///< everything between "query": and the final '}'
+};
+
+/// Splits `frame` when it has exactly that layout: no whitespace, members
+/// in that order, an id without escapes that parse_request would accept,
+/// and '}' as the last byte. Anything else is nullopt (the frame is not
+/// judged, only not split). For a split frame, whether parse_request
+/// succeeds and the query it yields depend on `rest` alone, and the
+/// request id is `id` verbatim: the prefix is fixed, valid JSON, and
+/// members after the first "id"/"kind"/"query" are never read.
+std::optional<QueryFrameSplit> split_query_frame(std::string_view frame);
 
 /// Response-envelope builders (see the grammar above).
 std::string make_design_response(const std::string& id,

@@ -143,7 +143,8 @@ std::string to_json(const ServerStats& stats) {
     if (i > 0) os << ',';
     os << stats.worker_depths[i];
   }
-  os << "],\"inline_answers\":" << stats.inline_answers << '}';
+  os << "],\"inline_answers\":" << stats.inline_answers
+     << ",\"query_memo_hits\":" << stats.query_memo_hits << '}';
   return os.str();
 }
 
@@ -177,9 +178,7 @@ struct DesignServer::Connection {
 struct DesignServer::PendingQuery {
   std::uint64_t conn_id = 0;
   std::string request_id;
-  serve::DesignQuery query;
-  std::string key;          ///< serve::to_json(query)
-  std::string fingerprint;  ///< from route_query; empty = unconstructible
+  std::shared_ptr<const ParsedQuery> parsed;
   serve::WireEncoding encoding = serve::WireEncoding::Json;
   std::chrono::steady_clock::time_point arrival;
 };
@@ -214,6 +213,8 @@ DesignServer::DesignServer(std::shared_ptr<serve::DesignService> service,
                             kOutboxCapFrames
                     ? std::numeric_limits<std::size_t>::max()
                     : kOutboxCapFrames * config_.max_frame_bytes;
+  memo_capacity_ = service_->response_cache_capacity();
+  query_memo_.reserve(memo_capacity_);
 }
 
 DesignServer::~DesignServer() {
@@ -604,6 +605,19 @@ void DesignServer::handle_frame(Connection& conn, const Frame& frame) {
     return;
   }
 
+  // A query frame whose bytes after the id were parsed before: those bytes
+  // alone fix the query, its key, fingerprint and route.
+  std::optional<QueryFrameSplit> split;
+  if (memo_capacity_ != 0) split = split_query_frame(frame.payload);
+  if (split) {
+    const auto hit = query_memo_.find(split->rest);
+    if (hit != query_memo_.end()) {
+      admit_query(conn, std::string(split->id), hit->second,
+                  /*memo_hit=*/true);
+      return;
+    }
+  }
+
   Request request;
   try {
     request = parse_request(frame.payload);
@@ -622,7 +636,15 @@ void DesignServer::handle_frame(Connection& conn, const Frame& frame) {
     handle_hello(conn, request);
     return;
   }
-  admit_request(conn, std::move(request));
+  if (request.kind == RequestKind::Stats) {
+    answer_stats(conn, request.id);
+    return;
+  }
+  std::shared_ptr<const ParsedQuery> parsed =
+      prepare_query(std::move(request.query));
+  if (split) remember_query(split->rest, parsed);
+  admit_query(conn, std::move(request.id), std::move(parsed),
+              /*memo_hit=*/false);
 }
 
 void DesignServer::handle_binary_frame(Connection& conn,
@@ -651,7 +673,12 @@ void DesignServer::handle_binary_frame(Connection& conn,
                   best_effort_binary_request_id(frame.payload), e.what()));
     return;
   }
-  admit_request(conn, std::move(request));
+  if (request.kind == RequestKind::Stats) {
+    answer_stats(conn, request.id);
+    return;
+  }
+  admit_query(conn, std::move(request.id),
+              prepare_query(std::move(request.query)), /*memo_hit=*/false);
 }
 
 bool DesignServer::handle_hello(Connection& conn, const Request& request) {
@@ -690,21 +717,26 @@ bool DesignServer::handle_hello(Connection& conn, const Request& request) {
   return true;
 }
 
-void DesignServer::admit_request(Connection& conn, Request&& request) {
+void DesignServer::answer_stats(Connection& conn,
+                                const std::string& request_id) {
+  conn.saw_request = true;
+  {
+    std::lock_guard<std::mutex> lock(stats_mutex_);
+    ++stats_.stats_requests;
+  }
+  enqueue_response(conn,
+                   stats_envelope(conn.encoding, request_id, stats_json()));
+}
+
+void DesignServer::admit_query(Connection& conn, std::string request_id,
+                               std::shared_ptr<const ParsedQuery> parsed,
+                               bool memo_hit) {
   const serve::WireEncoding encoding = conn.encoding;
   conn.saw_request = true;
-  if (request.kind == RequestKind::Stats) {
-    {
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.stats_requests;
-    }
-    enqueue_response(conn, stats_envelope(encoding, request.id, stats_json()));
-    return;
-  }
-
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     ++stats_.queries_received;
+    if (memo_hit) ++stats_.query_memo_hits;
   }
   // Admission: only the I/O thread admits, so the check-then-admit on the
   // pending total cannot race with itself.
@@ -721,27 +753,23 @@ void DesignServer::admit_request(Connection& conn, Request&& request) {
       ++stats_.queries_rejected;
     }
     enqueue_response(conn,
-                     rejected_envelope(encoding, request.id, reason, depth));
+                     rejected_envelope(encoding, request_id, reason, depth));
     return;
   }
 
-  PendingQuery pending;
-  pending.arrival = std::chrono::steady_clock::now();
-  pending.conn_id = conn.id;
-  pending.request_id = std::move(request.id);
-  pending.query = std::move(request.query);
-  pending.encoding = encoding;
-  // The key and fingerprint are computed once, here: they route the
-  // query, look up a cached answer, and ride to the worker.
-  pending.key = serve::to_json(pending.query);
-  const std::size_t route =
-      route_query(pending.query, pending.key, pending.fingerprint);
-  if (route == search_workers_) {
+  const auto arrival = std::chrono::steady_clock::now();
+  if (parsed->route == search_workers_) {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     ++stats_.fast_lane_queries;
   }
-  Worker& worker = *workers_[route];
-  if (answer_inline(conn, worker, pending)) return;
+  Worker& worker = *workers_[parsed->route];
+  if (answer_inline(conn, worker, request_id, *parsed, arrival)) return;
+  PendingQuery pending;
+  pending.arrival = arrival;
+  pending.conn_id = conn.id;
+  pending.request_id = std::move(request_id);
+  pending.parsed = std::move(parsed);
+  pending.encoding = encoding;
   total_pending_.fetch_add(1);
   {
     std::lock_guard<std::mutex> lock(worker.mutex);
@@ -770,9 +798,34 @@ std::size_t DesignServer::route_query(const serve::DesignQuery& query,
                             search_workers_);
 }
 
-bool DesignServer::answer_inline(Connection& conn, Worker& worker,
-                                 const PendingQuery& pending) {
-  if (pending.fingerprint.empty()) return false;  // no scope to validate
+std::shared_ptr<const DesignServer::ParsedQuery> DesignServer::prepare_query(
+    serve::DesignQuery&& query) const {
+  // The key and fingerprint are computed once, here: they route the
+  // query, look up a cached answer, and ride to the worker.
+  auto parsed = std::make_shared<ParsedQuery>();
+  parsed->query = std::move(query);
+  parsed->key = serve::to_json(parsed->query);
+  parsed->route = route_query(parsed->query, parsed->key, parsed->fingerprint);
+  return parsed;
+}
+
+void DesignServer::remember_query(
+    std::string_view rest, const std::shared_ptr<const ParsedQuery>& parsed) {
+  // Padded frames (whitespace, extra members) may not make an entry much
+  // larger than its canonical key.
+  if (rest.size() > 2 * parsed->key.size()) return;
+  if (query_memo_.size() >= memo_capacity_) {
+    query_memo_.erase(query_memo_.find(memo_fifo_.front()));
+    memo_fifo_.pop_front();
+  }
+  const auto [it, inserted] = query_memo_.emplace(std::string(rest), parsed);
+  if (inserted) memo_fifo_.push_back(it->first);
+}
+
+bool DesignServer::answer_inline(
+    Connection& conn, Worker& worker, const std::string& request_id,
+    const ParsedQuery& parsed, std::chrono::steady_clock::time_point arrival) {
+  if (parsed.fingerprint.empty()) return false;  // no scope to validate
   {
     // Only this thread enqueues, so a worker idle here stays idle until
     // the query is answered: nothing admitted before it on its scope is
@@ -786,16 +839,16 @@ bool DesignServer::answer_inline(Connection& conn, Worker& worker,
     std::lock_guard<std::mutex> lock(completion_mutex_);
     if (!completions_.empty()) return false;
   }
-  const std::shared_ptr<const std::string> bytes = service_->lookup_encoded(
-      pending.key, pending.fingerprint, pending.encoding);
+  const std::shared_ptr<const std::string> bytes =
+      service_->lookup_encoded(parsed.key, parsed.fingerprint, conn.encoding);
   if (!bytes) return false;
   const std::string envelope =
-      design_envelope(pending.encoding, pending.request_id, *bytes);
+      design_envelope(conn.encoding, request_id, *bytes);
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     ++stats_.queries_served;
     ++stats_.inline_answers;
-    record_latency(pending.arrival, std::chrono::steady_clock::now());
+    record_latency(arrival, std::chrono::steady_clock::now());
   }
   enqueue_response(conn, envelope);
   return true;
@@ -941,10 +994,13 @@ void DesignServer::worker_loop(Worker& worker) {
 
     std::vector<serve::DesignService::EncodedQuery> items(batch.size());
     for (std::size_t i = 0; i < batch.size(); ++i) {
-      items[i].query = std::move(batch[i].query);
+      // The parsed query may be memoized, so it is copied, off the I/O
+      // thread.
+      const ParsedQuery& parsed = *batch[i].parsed;
+      items[i].query = parsed.query;
       items[i].encoding = batch[i].encoding;
-      items[i].key = std::move(batch[i].key);
-      items[i].fingerprint = std::move(batch[i].fingerprint);
+      items[i].key = parsed.key;
+      items[i].fingerprint = parsed.fingerprint;
     }
 
     std::vector<std::string> envelopes(batch.size());

@@ -17,6 +17,13 @@
 //     bytes are written at once, with no hand-off. An idle worker stays
 //     idle until the I/O thread enqueues, so such an answer can never
 //     overtake a same-scope query admitted before it.
+//   * The I/O thread memoizes parsed queries by their request bytes: a
+//     text query frame in to_json(Request)'s layout (split_query_frame)
+//     whose bytes after the id were parsed before skips the JSON parse,
+//     the canonical key and the fingerprint, and takes its route from the
+//     memo. The memo holds as many entries as the response cache (none
+//     when the cache is off), evicts the oldest first, and counts its hits
+//     in ServerStats::query_memo_hits.
 //   * W dispatch workers (ServerConfig::search_workers, env
 //     METACORE_SERVER_WORKERS, default = hardware concurrency). An
 //     admitted search query is routed to worker
@@ -69,11 +76,14 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "net/frame.hpp"
@@ -169,6 +179,9 @@ struct ServerStats {
   /// Queries answered on the I/O thread from cached bytes, without a
   /// dispatch worker (also counted in queries_served).
   std::size_t inline_answers = 0;
+  /// Query frames whose parse, canonical key, fingerprint and route came
+  /// from the I/O thread's memo (also counted in queries_received).
+  std::size_t query_memo_hits = 0;
 };
 
 std::string to_json(const ServerStats& stats);
@@ -220,6 +233,24 @@ class DesignServer {
   struct Completion;
   struct Worker;
 
+  /// Everything a query's bytes after its request id determine: shared by
+  /// the memo and the queries admitted from it, never modified.
+  struct ParsedQuery {
+    serve::DesignQuery query;
+    std::string key;          ///< serve::to_json(query)
+    std::string fingerprint;  ///< from route_query; empty = unconstructible
+    std::size_t route = 0;    ///< worker index from route_query
+  };
+
+  /// Hashes std::string and std::string_view alike, so a memo lookup by a
+  /// slice of the frame allocates no key.
+  struct ViewHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view bytes) const noexcept {
+      return std::hash<std::string_view>{}(bytes);
+    }
+  };
+
   void io_loop();
   void worker_loop(Worker& worker);
   /// Worker index for an admitted query with canonical key `key`:
@@ -229,11 +260,19 @@ class DesignServer {
   std::size_t route_query(const serve::DesignQuery& query,
                           const std::string& key,
                           std::string& fingerprint) const;
-  /// Answers `pending` on the I/O thread from the service's cached bytes
+  /// The key, fingerprint and route of a freshly parsed query.
+  std::shared_ptr<const ParsedQuery> prepare_query(
+      serve::DesignQuery&& query) const;
+  /// Memoizes `parsed` under the frame bytes `rest` (split_query_frame),
+  /// evicting the oldest entry when the memo is full.
+  void remember_query(std::string_view rest,
+                      const std::shared_ptr<const ParsedQuery>& parsed);
+  /// Answers a query on the I/O thread from the service's cached bytes
   /// when `worker` is idle and the bytes are valid; false = not answered
   /// (the caller enqueues it as usual).
   bool answer_inline(Connection& conn, Worker& worker,
-                     const PendingQuery& pending);
+                     const std::string& request_id, const ParsedQuery& parsed,
+                     std::chrono::steady_clock::time_point arrival);
   /// Adds one latency sample (admission to response-ready); the caller
   /// holds stats_mutex_.
   void record_latency(std::chrono::steady_clock::time_point arrival,
@@ -253,9 +292,12 @@ class DesignServer {
   /// Wire-mode negotiation (text-only; must precede any query/stats).
   /// Returns false when the connection died mid-reply.
   bool handle_hello(Connection& conn, const Request& request);
-  /// Mode-independent request handling: stats answered inline, queries
-  /// admitted (or rejected) into the worker queues.
-  void admit_request(Connection& conn, Request&& request);
+  /// Mode-independent request handling: stats are answered inline...
+  void answer_stats(Connection& conn, const std::string& request_id);
+  /// ...and queries admitted (or rejected) into the worker queues, or
+  /// answered inline. `memo_hit` = `parsed` came from the memo.
+  void admit_query(Connection& conn, std::string request_id,
+                   std::shared_ptr<const ParsedQuery> parsed, bool memo_hit);
   void enqueue_response(Connection& conn, const std::string& envelope);
   void push_outbox(Connection& conn, std::string bytes);
   /// Flushes as much of the outbox as the socket accepts; closes the
@@ -296,6 +338,14 @@ class DesignServer {
   std::size_t outbox_cap_ = 0;
   /// Sum of every connection's queued response bytes (ServerStats).
   std::atomic<std::size_t> outbox_bytes_{0};
+  /// Parsed queries by the frame bytes after their id (split_query_frame),
+  /// at most memo_capacity_ of them; memo_fifo_ views each key once,
+  /// oldest first, for eviction.
+  std::size_t memo_capacity_ = 0;
+  std::unordered_map<std::string, std::shared_ptr<const ParsedQuery>,
+                     ViewHash, std::equal_to<>>
+      query_memo_;
+  std::deque<std::string_view> memo_fifo_;
 
   // Dispatch worker pool: the I/O thread produces into per-worker queues
   // (routed by fingerprint hash; last worker is the fast lane), each

@@ -231,6 +231,12 @@ class DesignService {
   /// Entries currently held by the serialized-response cache.
   std::size_t response_cache_size() const;
 
+  /// The cache's entry cap after the METACORE_RESPONSE_CACHE override (0 =
+  /// the cache is off).
+  std::size_t response_cache_capacity() const noexcept {
+    return cache_capacity_;
+  }
+
   ServiceStats stats() const;
 
   /// Stats snapshot as one JSON object: the ServiceStats counters plus a

@@ -3,8 +3,10 @@
 // multiplexed out-of-order responses, malformed/oversized-frame survival,
 // overload rejection under a tiny admission quota, graceful drain with
 // queries in flight, survival of clients that vanish mid-query, the
-// refusal count for connections over the cap, and counted shedding when
-// the process is out of file descriptors.
+// refusal count for connections over the cap, counted shedding when the
+// process is out of file descriptors, and the I/O thread's query memo
+// (its frame splitter, eviction, ordering, and byte parity with the
+// parse-every-request path on seeded mutants).
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <gtest/gtest.h>
@@ -17,6 +19,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cctype>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -25,14 +28,18 @@
 #include <filesystem>
 #include <functional>
 #include <memory>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "net/client.hpp"
+#include "net/protocol.hpp"
 #include "net/server.hpp"
 #include "serve/binary_codec.hpp"
 #include "serve/service.hpp"
+#include "util/rng.hpp"
 
 namespace metacore::net {
 namespace {
@@ -623,6 +630,483 @@ TEST(DesignServer, MalformedQueryDocumentsKeepTheirErrorText) {
   }
   EXPECT_EQ(stats_counter(client, "malformed_frames"),
             std::size(cases));
+  server.shutdown();
+}
+
+// --- The I/O thread's query memo ------------------------------------------
+
+/// The frame net::to_json(Request) writes for a query document `doc`.
+std::string query_frame(const std::string& id, const std::string& doc) {
+  return "{\"id\":\"" + id + "\",\"kind\":\"query\",\"query\":" + doc + "}";
+}
+
+TEST(QueryFrameSplit, SplitsTheLayoutClientsWrite) {
+  Request request;
+  request.id = "r17";
+  request.query = tiny_query(2.0);
+  const std::string frame = to_json(request);
+  const std::optional<QueryFrameSplit> split = split_query_frame(frame);
+  ASSERT_TRUE(split.has_value()) << frame;
+  EXPECT_EQ(split->id, "r17");
+  EXPECT_EQ(split->rest, serve::to_json(request.query));
+
+  // A hand-written document is split the same way, byte for byte.
+  // (The split views the frame, so every frame below outlives its split.)
+  const std::string doc = R"({"kind":"viterbi","esn0_db":1.0,"budget":{}})";
+  const std::string hand_frame = query_frame("7", doc);
+  const auto hand = split_query_frame(hand_frame);
+  ASSERT_TRUE(hand.has_value());
+  EXPECT_EQ(hand->id, "7");
+  EXPECT_EQ(hand->rest, doc);
+
+  // Ids of one and kMaxRequestIdBytes bytes, any byte but '"' and '\'.
+  for (const std::string& id :
+       {std::string("a"), std::string(kMaxRequestIdBytes, 'x'),
+        std::string("\x01 {}:,\t\x7f\xff")}) {
+    const std::string id_frame = query_frame(id, doc);
+    const auto ok = split_query_frame(id_frame);
+    ASSERT_TRUE(ok.has_value()) << id;
+    EXPECT_EQ(ok->id, id);
+    EXPECT_EQ(ok->rest, doc);
+  }
+  // Members after the query stay in the rest: they are part of the bytes
+  // the parse depends on.
+  const std::string extra_frame = query_frame("e", doc + ",\"x\":1");
+  const auto extra = split_query_frame(extra_frame);
+  ASSERT_TRUE(extra.has_value());
+  EXPECT_EQ(extra->rest, doc + ",\"x\":1");
+  // The splitter does not judge the rest; an empty one is split too.
+  const std::string empty_frame = query_frame("e", "");
+  const auto empty = split_query_frame(empty_frame);
+  ASSERT_TRUE(empty.has_value());
+  EXPECT_EQ(empty->rest, "");
+}
+
+TEST(QueryFrameSplit, RejectsEveryOtherShape) {
+  const std::string doc = serve::to_json(tiny_query());
+  const std::string frames[] = {
+      "",
+      "{}",
+      "{",
+      "}",
+      R"({"id":"a"})",
+      R"({"id":"a","kind":"query","query":)",
+      // The id: empty, too long, escaped, unterminated.
+      query_frame("", doc),
+      query_frame(std::string(kMaxRequestIdBytes + 1, 'x'), doc),
+      query_frame("a\\\"b", doc),
+      query_frame("a\\\\b", doc),
+      query_frame("a\\u0062", doc),
+      "{\"id\":\"" + std::string(2 * kMaxRequestIdBytes, 'x'),
+      "{\"id\":\"abc",
+      // Whitespace anywhere in the envelope, or after it.
+      " " + query_frame("a", doc),
+      query_frame("a", doc) + " ",
+      query_frame("a", doc) + "\t",
+      query_frame("a", doc) + "\r",
+      "{ \"id\":\"a\",\"kind\":\"query\",\"query\":" + doc + "}",
+      "{\"id\": \"a\",\"kind\":\"query\",\"query\":" + doc + "}",
+      "{\"id\":\"a\" ,\"kind\":\"query\",\"query\":" + doc + "}",
+      "{\"id\":\"a\",\"kind\":\"query\",\"query\" :" + doc + "}",
+      // Other kinds, spellings, member orders and envelopes.
+      R"({"id":"a","kind":"stats"})",
+      R"({"id":"a","kind":"hello","wire":"binary"})",
+      "{\"id\":\"a\",\"kind\":\"Query\",\"query\":" + doc + "}",
+      "{\"id\":\"a\",\"kind\":\"stats\",\"query\":" + doc + "}",
+      "{\"id\":\"a\",\"kind\":\"quer\\u0079\",\"query\":" + doc + "}",
+      "{\"kind\":\"query\",\"id\":\"a\",\"query\":" + doc + "}",
+      "{\"id\":\"a\",\"query\":" + doc + ",\"kind\":\"query\"}",
+      "{\"ID\":\"a\",\"kind\":\"query\",\"query\":" + doc + "}",
+      "{\"id\":1,\"kind\":\"query\",\"query\":" + doc + "}",
+      "[\"id\",\"a\",\"kind\",\"query\",\"query\"," + doc + "]",
+      // A frame that does not end with a brace. (One that lost only the
+      // envelope's brace still ends with the document's: it is split, and
+      // its rest never parses.)
+      "{\"id\":\"a\",\"kind\":\"query\",\"query\":" + doc + "]",
+      "{\"id\":\"a\",\"kind\":\"query\",\"query\":[" + doc + "]",
+  };
+  for (const std::string& frame : frames) {
+    EXPECT_FALSE(split_query_frame(frame).has_value()) << frame;
+  }
+}
+
+/// A bare text connection that reads replies as raw lines, for byte-exact
+/// comparisons of whole reply frames.
+class LineConnection {
+ public:
+  explicit LineConnection(int port) {
+    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(static_cast<std::uint16_t>(port));
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    timeval timeout{60, 0};
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+    if (fd_ < 0 || ::connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
+                             sizeof(addr)) != 0) {
+      if (fd_ >= 0) ::close(fd_);
+      throw std::runtime_error("connect failed");
+    }
+  }
+  ~LineConnection() { ::close(fd_); }
+  LineConnection(const LineConnection&) = delete;
+  LineConnection& operator=(const LineConnection&) = delete;
+
+  /// Sends `frame` and returns the next reply line (without its newline).
+  std::string roundtrip(const std::string& frame) {
+    const std::string line = frame + "\n";
+    if (::send(fd_, line.data(), line.size(), MSG_NOSIGNAL) !=
+        static_cast<ssize_t>(line.size())) {
+      throw std::runtime_error("send failed");
+    }
+    for (;;) {
+      const std::size_t end = buffer_.find('\n');
+      if (end != std::string::npos) {
+        std::string reply = buffer_.substr(0, end);
+        buffer_.erase(0, end + 1);
+        return reply;
+      }
+      char buf[65536];
+      const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
+      if (n <= 0) throw std::runtime_error("no reply");
+      buffer_.append(buf, static_cast<std::size_t>(n));
+    }
+  }
+
+ private:
+  int fd_ = -1;
+  std::string buffer_;
+};
+
+// Seeded mutants of valid query frames, each sent twice to a server with
+// the default response cache (and so the memo) and to one with the cache
+// off, which parses every request: the two reply streams must be byte-
+// identical, and the first server must have answered some from the memo.
+TEST(DesignServer, QueryMemoRepliesMatchTheParseEveryRequestPath) {
+  auto memo_service = std::make_shared<serve::DesignService>();
+  serve::ServiceConfig cache_off;
+  cache_off.response_cache_capacity = 0;
+  auto plain_service = std::make_shared<serve::DesignService>(cache_off);
+  DesignServer memo_server(memo_service, loopback_config());
+  DesignServer plain_server(plain_service, loopback_config());
+  memo_server.start();
+  plain_server.start();
+  LineConnection memo_conn(memo_server.port());
+  LineConnection plain_conn(plain_server.port());
+
+  // One searched scope and archive queries over it (cheap to answer, so
+  // the run stays short), canonical and hand-written.
+  const serve::DesignQuery search = tiny_query(3.0);
+  std::vector<std::string> docs = {serve::to_json(search)};
+  for (int k = 0; k < 3; ++k) {
+    serve::DesignQuery archive = search;
+    archive.archive_only = true;
+    archive.constraints = {
+        {search::Constraint::Kind::UpperBound, "ber", 0.02 + 0.005 * k},
+        {search::Constraint::Kind::UpperBound, "area_mm2", 2.0 + k}};
+    docs.push_back(serve::to_json(archive));
+  }
+  docs.push_back(
+      R"({"kind":"viterbi","target_ber":0.01,"esn0_db":1.0,)"
+      R"("throughput_mbps":3.0,"ber_shards":2,"budget":{)"
+      R"("initial_points_per_dim":2,"max_resolution":0,"regions_per_level":1,)"
+      R"("max_evaluations":16},"constraints":[{"kind":"upper","metric":"ber",)"
+      R"("bound":0.03}],"archive_only":true})");
+  const std::size_t archive_docs = docs.size() - 1;  // all but the search
+
+  std::vector<std::string> memo_replies;
+  std::vector<std::string> plain_replies;
+  const auto send_twice = [&](const std::string& frame) {
+    for (int i = 0; i < 2; ++i) {
+      memo_replies.push_back(memo_conn.roundtrip(frame));
+      plain_replies.push_back(plain_conn.roundtrip(frame));
+    }
+  };
+  // The search first, so the archive queries have a front to answer from.
+  for (std::size_t d = 0; d < docs.size(); ++d) {
+    send_twice(query_frame("seed" + std::to_string(d), docs[d]));
+  }
+
+  util::CounterRng rng(0x9e3779b97f4a7c15ULL);
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  const std::string tails[] = {
+      ",\"extra\":1",          ",\"id\":\"dup\"", ",\"id\":\"\"",
+      ",\"kind\":\"stats\"",   ",\"kind\":\"hello\"",
+      ",\"query\":{\"kind\":\"iir\"}", ",\"query\":7"};
+  // Kind spellings other than the literal "query" (a stats reply carries
+  // the counters that tell the two servers apart, so "stats" is left out).
+  const std::string kinds[] = {"\"Query\"", "\"queryx\"", "\"hello\"",
+                               "\"quer\\u0079\"", " \"query\"", "\"\""};
+  for (int trial = 0; trial < 160; ++trial) {
+    // Only archive documents are mutated inside (and only in their
+    // numbers): a flipped member name could drop the budget and start a
+    // full-size search.
+    const std::size_t d = 1 + pick(archive_docs);
+    const std::string& doc = docs[d];
+    const std::string id = "m" + std::to_string(trial);
+    std::string frame = query_frame(id, doc);
+    switch (pick(9)) {
+      case 0:  // a valid frame
+        break;
+      case 1: {  // a byte flip in the envelope
+        const std::size_t envelope = frame.size() - doc.size();
+        std::size_t at = pick(envelope);
+        if (at == envelope - 1) at = frame.size() - 1;  // the final brace
+        frame[at] = static_cast<char>(frame[at] ^ (1 << pick(8)));
+        break;
+      }
+      case 2: {  // a byte flip in a number of the document
+        std::vector<std::size_t> digits;
+        const std::size_t from = frame.size() - doc.size() - 1;
+        for (std::size_t i = from; i + 1 < frame.size(); ++i) {
+          if (std::isdigit(static_cast<unsigned char>(frame[i]))) {
+            digits.push_back(i);
+          }
+        }
+        const std::size_t at = digits[pick(digits.size())];
+        frame[at] = static_cast<char>(frame[at] ^ (1 << pick(8)));
+        break;
+      }
+      case 3: {  // ids of 0, 1, 256 and 257 bytes
+        const std::size_t lengths[] = {0, 1, kMaxRequestIdBytes,
+                                       kMaxRequestIdBytes + 1};
+        frame = query_frame(std::string(lengths[pick(4)], 'a' + pick(26)),
+                            doc);
+        break;
+      }
+      case 4:  // an id holding an escaped quote or backslash
+        frame = query_frame(id + (pick(2) == 0 ? "\\\"" : "\\\\"), doc);
+        break;
+      case 5: {  // trailing whitespace
+        const char* spaces[] = {" ", "\t", "  ", " \t "};
+        frame += spaces[pick(4)];
+        break;
+      }
+      case 6:  // extra or duplicate members after the query
+        frame.insert(frame.size() - 1, tails[pick(std::size(tails))]);
+        break;
+      case 7: {  // kind variants
+        const std::string literal = "\"kind\":\"query\"";
+        frame.replace(frame.find(literal), literal.size(),
+                      "\"kind\":" + kinds[pick(std::size(kinds))]);
+        break;
+      }
+      case 8:  // a memoized document behind a new id
+        frame = query_frame("n" + id, docs[pick(docs.size())]);
+        break;
+    }
+    for (char& c : frame) {
+      if (c == '\n') c = ' ';  // one frame per mutant
+    }
+    send_twice(frame);
+  }
+
+  ASSERT_EQ(memo_replies.size(), plain_replies.size());
+  for (std::size_t i = 0; i < memo_replies.size(); ++i) {
+    ASSERT_EQ(memo_replies[i], plain_replies[i]) << "reply " << i;
+  }
+  const ServerStats memo_stats = memo_server.stats();
+  const ServerStats plain_stats = plain_server.stats();
+  EXPECT_EQ(memo_stats.queries_received, plain_stats.queries_received);
+  EXPECT_EQ(memo_stats.malformed_frames, plain_stats.malformed_frames);
+  EXPECT_EQ(plain_stats.query_memo_hits, 0u);
+  if (cache_disabled_by_env()) {
+    EXPECT_EQ(memo_stats.query_memo_hits, 0u);
+  } else {
+    EXPECT_GT(memo_stats.query_memo_hits, 0u);
+  }
+  memo_server.shutdown();
+  plain_server.shutdown();
+}
+
+/// Cheap distinct queries: archive probes over `n` distinct scopes.
+std::vector<serve::DesignQuery> archive_probes(std::size_t n) {
+  std::vector<serve::DesignQuery> probes;
+  for (std::size_t i = 0; i < n; ++i) {
+    serve::DesignQuery probe = tiny_query(1.0 + static_cast<double>(i));
+    probe.archive_only = true;
+    probes.push_back(probe);
+  }
+  return probes;
+}
+
+TEST(DesignServer, QueryMemoEvictsItsOldestEntryAtCapacity) {
+  if (cache_disabled_by_env()) GTEST_SKIP() << kNoCache;
+  serve::ServiceConfig service_config;
+  service_config.response_cache_capacity = 4;
+  auto service = std::make_shared<serve::DesignService>(service_config);
+  DesignServer server(service, loopback_config());
+  server.start();
+  DesignClient client;
+  client.connect("127.0.0.1", server.port());
+  const std::vector<serve::DesignQuery> q = archive_probes(5);
+  const auto hits = [&] { return server.stats().query_memo_hits; };
+
+  for (const serve::DesignQuery& query : q) {
+    ASSERT_TRUE(client.query(query).ok());
+  }
+  EXPECT_EQ(hits(), 0u);
+  // q[0] was the oldest of five: evicted. Parsing it again memoizes it and
+  // evicts q[1].
+  ASSERT_TRUE(client.query(q[0]).ok());
+  EXPECT_EQ(hits(), 0u);
+  // What is held now is exactly four entries: q[2..4] and q[0].
+  for (const std::size_t i : {2, 3, 4, 0}) {
+    ASSERT_TRUE(client.query(q[i]).ok());
+  }
+  EXPECT_EQ(hits(), 4u);
+  ASSERT_TRUE(client.query(q[1]).ok());
+  EXPECT_EQ(hits(), 4u);
+  EXPECT_EQ(server.stats().queries_received, 11u);
+  server.shutdown();
+}
+
+// An entry may not hold much more than its canonical key: a frame padded
+// past twice the key's length is answered as usual but never memoized.
+TEST(DesignServer, QueryMemoSkipsPaddedFrames) {
+  if (cache_disabled_by_env()) GTEST_SKIP() << kNoCache;
+  auto service = std::make_shared<serve::DesignService>();
+  DesignServer server(service, loopback_config());
+  server.start();
+  LineConnection conn(server.port());
+  const std::string doc = serve::to_json(archive_probes(1).front());
+  const std::string padded =
+      query_frame("p", doc + std::string(2 * doc.size(), ' '));
+  const std::string reply = conn.roundtrip(padded);
+  EXPECT_NE(reply.find("\"status\":\"ok\""), std::string::npos) << reply;
+  EXPECT_EQ(conn.roundtrip(padded), reply);
+  EXPECT_EQ(server.stats().query_memo_hits, 0u);
+  // The unpadded frame is memoized as usual.
+  EXPECT_EQ(conn.roundtrip(query_frame("p", doc)), reply);
+  EXPECT_EQ(conn.roundtrip(query_frame("p", doc)), reply);
+  EXPECT_EQ(server.stats().query_memo_hits, 1u);
+  server.shutdown();
+}
+
+TEST(DesignServer, AMemoHitPipelinedBehindAStoreAppendKeepsArrivalOrder) {
+  if (cache_disabled_by_env()) GTEST_SKIP() << kNoCache;
+  const std::string store_path = temp_store_path("net_memo_order.store");
+  serve::ServiceConfig service_config;
+  service_config.store_path = store_path;
+  auto service = std::make_shared<serve::DesignService>(service_config);
+  DesignServer server(service, loopback_config());
+  server.start();
+  DesignClient client;
+  client.connect("127.0.0.1", server.port());
+
+  // Three rounds cache the repeat's answer; the frame bytes after the id
+  // are memoized from the first.
+  const serve::DesignQuery repeat = tiny_query(6.5);
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(client.query(repeat).ok());
+  ASSERT_EQ(server.stats().query_memo_hits, 2u);
+
+  // A wider search on scope S appends to the store; the memo-hit repeat
+  // pipelined behind it must wait for it and answer afresh.
+  serve::DesignQuery wider = repeat;
+  wider.budget.initial_points_per_dim = 3;
+  wider.budget.max_evaluations = 48;
+  client.send_query("wider", wider);
+  client.send_query("repeat", repeat);
+  const WireResponse first = client.recv_response();
+  const WireResponse second = client.recv_response();
+  EXPECT_EQ(first.id, "wider");
+  EXPECT_EQ(second.id, "repeat");
+  ASSERT_TRUE(first.ok()) << first.reason;
+  ASSERT_TRUE(second.ok()) << second.reason;
+  EXPECT_EQ(server.stats().query_memo_hits, 3u);
+  EXPECT_EQ(second.response_json,
+            *service->submit_encoded(repeat, serve::WireEncoding::Json));
+  server.shutdown();
+  std::remove(store_path.c_str());
+}
+
+TEST(DesignServer, StatsAndHelloFramesNeverTouchTheQueryMemo) {
+  auto service = std::make_shared<serve::DesignService>();
+  DesignServer server(service, loopback_config());
+  server.start();
+  LineConnection conn(server.port());
+  const std::string hello = R"({"id":"h","kind":"hello","wire":"text"})";
+  const std::string stats = R"({"id":"s","kind":"stats"})";
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_NE(conn.roundtrip(stats).find("\"status\":\"ok\""),
+              std::string::npos);
+  }
+  // A hello after requests is an error however often it is repeated.
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_NE(conn.roundtrip(hello).find("hello must precede"),
+              std::string::npos);
+  }
+  const ServerStats after = server.stats();
+  EXPECT_EQ(after.query_memo_hits, 0u);
+  EXPECT_EQ(after.stats_requests, 3u);
+  EXPECT_EQ(after.hello_requests, 2u);
+  EXPECT_EQ(after.queries_received, 0u);
+  server.shutdown();
+}
+
+TEST(DesignServer, AMemoHitQueryStillMakesALaterHelloAnError) {
+  if (cache_disabled_by_env()) GTEST_SKIP() << kNoCache;
+  auto service = std::make_shared<serve::DesignService>();
+  DesignServer server(service, loopback_config());
+  server.start();
+  const std::string frame =
+      query_frame("q", serve::to_json(archive_probes(1).front()));
+  const std::string hello = R"({"id":"h","kind":"hello","wire":"text"})";
+  {
+    LineConnection first(server.port());
+    EXPECT_NE(first.roundtrip(frame).find("\"status\":\"ok\""),
+              std::string::npos);
+  }
+  // On a new connection the query is a memo hit, and it still counts as
+  // the connection's first request.
+  LineConnection second(server.port());
+  EXPECT_NE(second.roundtrip(frame).find("\"status\":\"ok\""),
+            std::string::npos);
+  EXPECT_EQ(server.stats().query_memo_hits, 1u);
+  EXPECT_EQ(second.roundtrip(hello),
+            R"({"id":"h","status":"error","error":)"
+            R"("hello must precede every query on the connection"})");
+  // A hello first is still granted its reply.
+  LineConnection third(server.port());
+  EXPECT_EQ(third.roundtrip(hello),
+            R"({"id":"h","status":"ok","wire":"text"})");
+  server.shutdown();
+}
+
+TEST(DesignServer, MalformedRequestsAroundAMemoizedQueryKeepTheirErrorText) {
+  auto service = std::make_shared<serve::DesignService>();
+  DesignServer server(service, loopback_config());
+  server.start();
+  LineConnection conn(server.port());
+  const std::string doc = serve::to_json(archive_probes(1).front());
+  ASSERT_NE(conn.roundtrip(query_frame("ok", doc)).find("\"status\":\"ok\""),
+            std::string::npos);
+  const std::string long_id(kMaxRequestIdBytes + 1, 'z');
+  const std::pair<std::string, std::string> cases[] = {
+      // The memoized bytes behind ids the request grammar refuses.
+      {query_frame("", doc),
+       R"({"id":"","status":"error","error":"request: 'id' must be a non-empty string"})"},
+      {query_frame(long_id, doc),
+       R"({"id":"","status":"error","error":"request: 'id' exceeds 256 bytes"})"},
+      // Bytes that never parsed are never memoized: the same error twice.
+      {query_frame("m1", "\"viterbi\""),
+       R"({"id":"m1","status":"error","error":"request: kind \"query\" requires a 'query' object member"})"},
+      {query_frame("m2", R"({"kind":"fpga"})"),
+       R"({"id":"m2","status":"error","error":"query: 'kind' must be \"viterbi\" or \"iir\""})"},
+      {query_frame("m3", doc + "}"),
+       R"({"id":"","status":"error","error":"request: parse error at byte )" +
+           std::to_string(query_frame("m3", doc).size()) +
+           R"(: trailing content after document"})"},
+  };
+  for (const auto& [frame, reply] : cases) {
+    EXPECT_EQ(conn.roundtrip(frame), reply) << frame;
+    EXPECT_EQ(conn.roundtrip(frame), reply) << frame;
+  }
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.malformed_frames, 2 * std::size(cases));
+  EXPECT_EQ(stats.query_memo_hits, 0u);
   server.shutdown();
 }
 
