@@ -1,7 +1,7 @@
 // Networked design-server load generator: an in-process DesignServer on an
 // ephemeral loopback port, hammered by N client connections over real TCP.
-// For each point of a worker-scaling sweep (1/2/4/8 dispatch workers, store
-// sharded to match), three passes measure the serving stack end to end
+// For each point of a worker-scaling sweep (1/2/4/8 dispatch workers), three
+// passes measure the serving stack end to end
 // (framing, epoll loop, admission queue, dispatch workers, DesignService):
 //
 //   cold closed-loop  — empty store, each connection sends one query at a
@@ -14,14 +14,13 @@
 //                       pool's per-fingerprint routing
 //
 // Client-side latency is recorded per request; every pass lands one record
-// carrying workers, shards, p50/p99, and queries/sec in BENCH_serve.json
+// carrying workers, p50/p99, and queries/sec in BENCH_serve.json
 // (override with METACORE_BENCH_SERVE_JSON) next to the bench_service
 // records, so both the socket tax and the worker-pool scaling curve are
 // tracked across PRs.
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
-#include <filesystem>
 #include <iostream>
 #include <memory>
 #include <mutex>
@@ -102,18 +101,14 @@ struct PassOptions {
 };
 
 /// Runs one pass against a fresh server over the given journal, with
-/// `workers` dispatch workers and the store sharded `shards` ways.
+/// `workers` dispatch workers.
 PassResult run_pass(const std::string& store_path,
                     const std::vector<serve::DesignQuery>& pool,
                     std::size_t connections,
                     std::size_t queries_per_connection,
-                    const PassOptions& options, std::size_t workers,
-                    std::size_t shards) {
-  serve::StoreConfig store_config = serve::StoreConfig::from_env();
-  store_config.shards = shards;
+                    const PassOptions& options, std::size_t workers) {
   serve::ServiceConfig service_config;
-  service_config.store =
-      std::make_shared<serve::EvaluationStore>(store_path, store_config);
+  service_config.store = std::make_shared<serve::EvaluationStore>(store_path);
   service_config.response_cache_capacity = options.response_cache_capacity;
   auto service = std::make_shared<serve::DesignService>(service_config);
   net::ServerConfig server_config;
@@ -224,12 +219,9 @@ PassResult run_archive_pass(const std::string& store_path,
                             const std::vector<serve::DesignQuery>& pool,
                             std::size_t connections,
                             std::size_t probes_per_connection, bool binary,
-                            std::size_t workers, std::size_t shards) {
-  serve::StoreConfig store_config = serve::StoreConfig::from_env();
-  store_config.shards = shards;
+                            std::size_t workers) {
   serve::ServiceConfig service_config;
-  service_config.store =
-      std::make_shared<serve::EvaluationStore>(store_path, store_config);
+  service_config.store = std::make_shared<serve::EvaluationStore>(store_path);
   auto service = std::make_shared<serve::DesignService>(service_config);
   net::ServerConfig server_config;
   server_config.search_workers = workers;
@@ -305,13 +297,11 @@ void print_pass(const std::string& name, const PassResult& pass) {
 
 bench::BenchRecord to_record(const std::string& name, const PassResult& pass,
                              std::size_t connections, std::size_t workers,
-                             std::size_t shards,
                              const std::string& wire = "text") {
   bench::BenchRecord record;
   record.name = name;
   record.values["connections"] = static_cast<double>(connections);
   record.values["workers"] = static_cast<double>(workers);
-  record.values["shards"] = static_cast<double>(shards);
   record.values["queries"] = static_cast<double>(pass.queries);
   record.values["wall_ms"] = pass.wall_ms;
   record.values["queries_per_sec"] = pass.queries_per_sec;
@@ -328,12 +318,6 @@ bench::BenchRecord to_record(const std::string& name, const PassResult& pass,
       static_cast<double>(pass.response_cache_hits);
   record.labels["wire"] = wire;
   return record;
-}
-
-void remove_store(const std::string& store_path) {
-  std::error_code ec;
-  std::filesystem::remove(store_path, ec);
-  std::filesystem::remove_all(store_path + ".d", ec);
 }
 
 }  // namespace
@@ -367,29 +351,25 @@ int main() {
 
   for (const std::size_t workers :
        run_sweep ? worker_sweep : std::vector<std::size_t>{}) {
-    // Shard the store to match the worker pool so per-fingerprint routing
-    // lands each worker on its own shard (the intended deployment shape).
-    const std::size_t shards = workers;
     const std::string store_path =
         "bench_server_store_w" + std::to_string(workers) + ".jsonl";
-    remove_store(store_path);
+    std::remove(store_path.c_str());
 
-    std::cout << "\n[" << workers << " worker(s), " << shards
-              << " shard(s)]\n";
+    std::cout << "\n[" << workers << " worker(s)]\n";
     PassOptions closed_loop;
     PassOptions pipelined;
     pipelined.pipelined = true;
     const PassResult cold =
         run_pass(store_path, sweep_pool, connections, queries_per_connection,
-                 closed_loop, workers, shards);
+                 closed_loop, workers);
     print_pass("cold closed-loop", cold);
     const PassResult warm =
         run_pass(store_path, sweep_pool, connections, queries_per_connection,
-                 closed_loop, workers, shards);
+                 closed_loop, workers);
     print_pass("warm closed-loop", warm);
     const PassResult burst =
         run_pass(store_path, sweep_pool, connections, queries_per_connection,
-                 pipelined, workers, shards);
+                 pipelined, workers);
     print_pass("warm pipelined ", burst);
 
     // The cold pass may legitimately record some store hits: connections
@@ -402,18 +382,18 @@ int main() {
               << util::format_double(cold.wall_ms / warm.wall_ms, 1) << "x\n";
 
     records.push_back(
-        to_record("serve_socket_cold", cold, connections, workers, shards));
+        to_record("serve_socket_cold", cold, connections, workers));
     records.push_back(
-        to_record("serve_socket_warm", warm, connections, workers, shards));
-    records.push_back(to_record("serve_socket_pipelined", burst, connections,
-                                workers, shards));
+        to_record("serve_socket_warm", warm, connections, workers));
+    records.push_back(
+        to_record("serve_socket_pipelined", burst, connections, workers));
 
     if (workers == 1) warm_pipelined_qps_1w = burst.queries_per_sec;
     if (burst.queries_per_sec > warm_pipelined_qps_best) {
       warm_pipelined_qps_best = burst.queries_per_sec;
       best_workers = workers;
     }
-    remove_store(store_path);
+    std::remove(store_path.c_str());
   }
 
   if (run_sweep) {
@@ -429,7 +409,7 @@ int main() {
               << (consistent ? "consistent" : "INCONSISTENT") << "\n";
   }
 
-  // --- Wire mode x response cache (fixed 2 workers / 2 shards) -----------
+  // --- Wire mode x response cache (fixed 2 workers) ----------------------
   //
   // Same warm store for every pass, so the passes differ only in wire
   // encoding and cache capacity: pipelined repeats measure the response
@@ -437,10 +417,9 @@ int main() {
   // encoding's wire-byte win on large-front responses.
   if (run_wire) {
     const std::size_t wire_workers = 2;
-    const std::size_t wire_shards = 2;
     const std::size_t repeats = bench::quick_mode() ? 6 : 16;
     const std::string store_path = "bench_server_store_wire.jsonl";
-    remove_store(store_path);
+    std::remove(store_path.c_str());
     std::cout << "\n[wire mode x response cache, " << wire_workers
               << " worker(s)]\n";
 
@@ -450,7 +429,7 @@ int main() {
     const auto wire_pool = query_pool(/*deep=*/true);
     PassOptions seed_options;  // journal the pool once, text, closed loop
     run_pass(store_path, wire_pool, connections, queries_per_connection,
-             seed_options, wire_workers, wire_shards);
+             seed_options, wire_workers);
 
     PassOptions cache_off;
     cache_off.pipelined = true;
@@ -463,15 +442,15 @@ int main() {
 
     const PassResult off =
         run_pass(store_path, wire_pool, connections, repeats, cache_off,
-                 wire_workers, wire_shards);
+                 wire_workers);
     print_pass("warm pipelined, text, cache off", off);
     const PassResult on =
         run_pass(store_path, wire_pool, connections, repeats, cache_on,
-                 wire_workers, wire_shards);
+                 wire_workers);
     print_pass("warm pipelined, text, cache on ", on);
     const PassResult bin =
         run_pass(store_path, wire_pool, connections, repeats, binary_on,
-                 wire_workers, wire_shards);
+                 wire_workers);
     print_pass("warm pipelined, binary, cache on", bin);
     const double cache_speedup =
         off.queries_per_sec > 0.0 ? on.queries_per_sec / off.queries_per_sec
@@ -483,11 +462,11 @@ int main() {
     const std::size_t probes = bench::quick_mode() ? 4 : 12;
     const PassResult text_archive =
         run_archive_pass(store_path, wire_pool, connections, probes, false,
-                         wire_workers, wire_shards);
+                         wire_workers);
     print_pass("archive probes, text  ", text_archive);
     const PassResult bin_archive =
         run_archive_pass(store_path, wire_pool, connections, probes, true,
-                         wire_workers, wire_shards);
+                         wire_workers);
     print_pass("archive probes, binary", bin_archive);
     const double text_bytes_per_response =
         text_archive.queries > 0
@@ -520,24 +499,23 @@ int main() {
                  (bench::quick_mode() || wire_cut >= 2.0);
 
     records.push_back(to_record("serve_wire_pipelined_cache_off", off,
-                                connections, wire_workers, wire_shards));
+                                connections, wire_workers));
     records.push_back(to_record("serve_wire_pipelined_cache_on", on,
-                                connections, wire_workers, wire_shards));
+                                connections, wire_workers));
     records.push_back(to_record("serve_wire_pipelined_binary", bin,
-                                connections, wire_workers, wire_shards,
-                                "binary"));
+                                connections, wire_workers, "binary"));
     bench::BenchRecord text_rec =
         to_record("serve_wire_archive_text", text_archive, connections,
-                  wire_workers, wire_shards);
+                  wire_workers);
     text_rec.values["bytes_per_response"] = text_bytes_per_response;
     records.push_back(text_rec);
     bench::BenchRecord bin_rec =
         to_record("serve_wire_archive_binary", bin_archive, connections,
-                  wire_workers, wire_shards, "binary");
+                  wire_workers, "binary");
     bin_rec.values["bytes_per_response"] = bin_bytes_per_response;
     bin_rec.values["wire_cut_vs_text"] = wire_cut;
     records.push_back(bin_rec);
-    remove_store(store_path);
+    std::remove(store_path.c_str());
   }
 
   for (auto& record : records) {

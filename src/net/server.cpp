@@ -791,11 +791,12 @@ std::size_t DesignServer::route_query(const serve::DesignQuery& query,
   // Cheap kinds take the fast lane (the extra worker at the end): an
   // archive probe must never wait behind a cold search.
   if (query.archive_only) return search_workers_;
-  // Same hash family as the store shards: one fingerprint -> one worker,
-  // so same-scope queries keep arrival order at any worker count. Without
-  // a fingerprint any stable route preserves ordering: the query bytes.
-  return serve::shard_index(fingerprint.empty() ? key : fingerprint,
-                            search_workers_);
+  // One fingerprint -> one worker, so same-scope queries keep arrival
+  // order at any worker count. Without a fingerprint any stable route
+  // preserves ordering: the query bytes.
+  return static_cast<std::size_t>(
+      serve::fingerprint_hash(fingerprint.empty() ? key : fingerprint) %
+      search_workers_);
 }
 
 std::shared_ptr<const DesignServer::ParsedQuery> DesignServer::prepare_query(

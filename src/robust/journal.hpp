@@ -78,8 +78,8 @@ std::string frame_record(std::string_view payload);
 bool looks_like_journal(std::string_view text);
 
 /// Append-oriented framed writer over a POSIX fd. Not internally
-/// synchronized: callers serialize appends (the store holds its shard's
-/// writer lock).
+/// synchronized: callers serialize appends (the store holds its writer
+/// lock).
 class JournalWriter {
  public:
   /// `truncate` starts a fresh journal (writes the header); otherwise

@@ -586,7 +586,7 @@ std::size_t DesignService::response_cache_size() const {
 DesignService::Generation DesignService::current_generation(
     const std::string& fingerprint) const {
   Generation gen{0, 0};
-  if (store_) gen.first = store_->generation(fingerprint);
+  if (store_) gen.first = store_->generation();
   std::shared_lock<std::shared_mutex> lock(archive_mutex_);
   const auto it = archive_generation_.find(fingerprint);
   gen.second = it == archive_generation_.end() ? 0 : it->second;
@@ -626,21 +626,7 @@ std::string DesignService::stats_json() const {
        << ",\"divergent_duplicates\":" << ss.divergent_duplicates
        << ",\"dropped_writes\":" << ss.dropped_writes
        << ",\"degraded\":" << (ss.degraded ? "true" : "false")
-       << ",\"shards\":" << ss.shards
-       << ",\"migrated_layout\":" << (ss.migrated_layout ? "true" : "false")
-       << ",\"quarantined_shards\":" << ss.quarantined_shards
-       << ",\"lock_contention\":" << ss.lock_contention
-       << ",\"shard_entries\":[";
-    for (std::size_t i = 0; i < ss.shard_entries.size(); ++i) {
-      if (i > 0) os << ',';
-      os << ss.shard_entries[i];
-    }
-    os << "],\"shard_bytes\":[";
-    for (std::size_t i = 0; i < ss.shard_bytes.size(); ++i) {
-      if (i > 0) os << ',';
-      os << ss.shard_bytes[i];
-    }
-    os << ']';
+       << ",\"lock_contention\":" << ss.lock_contention;
   }
   os << "}}";
   return os.str();

@@ -100,9 +100,9 @@ DesignQuery parse_design_query(const robust::JsonValue& doc);
 
 /// The query's evaluator scope: which store entries and which Pareto
 /// archive it reads and feeds. Cheap (constructing a metacore runs no
-/// simulation) — this is the routing key the sharded store and the
-/// server's dispatch worker pool hash (fingerprint_hash) to keep
-/// same-scope work ordered while distinct scopes run concurrently.
+/// simulation) — this is the routing key the server's dispatch worker pool
+/// hashes (fingerprint_hash) to keep same-scope work ordered while
+/// distinct scopes run concurrently.
 std::string query_fingerprint(const DesignQuery& query);
 
 struct DesignResponse {
@@ -190,7 +190,7 @@ class DesignService {
   /// The serving hot path: answers the query as encoded response-body
   /// bytes (canonical JSON or MCB1 binary), consulting the
   /// serialized-response cache first. A repeat of an identical query whose
-  /// evaluator scope held still (same store shard + archive generation) is
+  /// evaluator scope held still (same store + archive generation) is
   /// answered from the cached bytes with zero re-search and zero
   /// re-serialization; the networked server splices them straight into the
   /// response frame. Entries are stamped with the generation observed
@@ -256,7 +256,7 @@ class DesignService {
  private:
   struct InFlight;
 
-  /// (store shard generation, archive generation) for one evaluator
+  /// (store generation, archive generation) for one evaluator
   /// scope — the validity stamp of a serialized-response cache entry.
   using Generation = std::pair<std::uint64_t, std::uint64_t>;
 

@@ -28,7 +28,6 @@ namespace {
 constexpr const char* kKind = "metacore-evaluation-store";
 constexpr const char* kWhat = "store";
 constexpr std::size_t kMaxSkipReasons = 100;
-constexpr std::size_t kMaxShards = 256;
 
 void note_skip(StoreStats& stats, std::string reason) {
   ++stats.skipped_records;
@@ -163,11 +162,13 @@ struct PointLess {
 
 using Scope = std::map<PointKey, PackedEval, PointLess>;
 
+}  // namespace
+
 /// Records in memory: evaluator fingerprint (held once per scope) ->
 /// (indices, fidelity) -> packed evaluation. Iteration visits keys in the
 /// historical (fingerprint, indices, fidelity) order, so snapshots keep
 /// their bytes.
-struct EntryTable {
+struct detail::EntryTable {
   std::map<std::string, Scope, std::less<>> scopes;
   std::size_t size = 0;  ///< records over all scopes
 
@@ -218,6 +219,10 @@ struct EntryTable {
     return {&it->second, true};
   }
 };
+
+namespace {
+
+using detail::EntryTable;
 
 std::size_t file_size_of(const std::string& path) {
   std::error_code ec;
@@ -604,8 +609,8 @@ std::pair<std::string, EvalRecord> parse_payload_json(
 }  // namespace detail
 
 std::uint64_t fingerprint_hash(std::string_view fingerprint) noexcept {
-  // FNV-1a, 64-bit: stable pure byte arithmetic — the shard (and dispatch
-  // worker) assignment must not change across runs, builds, or hosts.
+  // FNV-1a, 64-bit: stable pure byte arithmetic — the dispatch worker
+  // assignment must not change across runs, builds, or hosts.
   std::uint64_t hash = 0xcbf29ce484222325ULL;
   for (const char c : fingerprint) {
     hash ^= static_cast<unsigned char>(c);
@@ -614,436 +619,184 @@ std::uint64_t fingerprint_hash(std::string_view fingerprint) noexcept {
   return hash;
 }
 
-std::size_t shard_index(std::string_view fingerprint,
-                        std::size_t shard_count) noexcept {
-  if (shard_count <= 1) return 0;
-  return static_cast<std::size_t>(fingerprint_hash(fingerprint) % shard_count);
-}
-
 StoreConfig StoreConfig::from_env() {
   StoreConfig config;
   config.durability = robust::DurabilityConfig::from_env();
-  if (const char* env = std::getenv("METACORE_STORE_COMPACT_RATIO");
-      env != nullptr && env[0] != '\0') {
-    std::size_t pos = 0;
-    double ratio = 0.0;
-    try {
-      ratio = std::stod(env, &pos);
-    } catch (const std::exception&) {
-      pos = 0;
-    }
-    if (pos != std::string(env).size() || !(ratio <= 1.0)) {
-      throw std::invalid_argument(
-          "store: METACORE_STORE_COMPACT_RATIO must be a number <= 1, got \"" +
-          std::string(env) + "\"");
-    }
-    config.auto_compact_dead_ratio = ratio;
-  }
-  if (const char* env = std::getenv("METACORE_STORE_SHARDS");
-      env != nullptr && env[0] != '\0') {
-    char* end = nullptr;
-    const unsigned long long value = std::strtoull(env, &end, 10);
-    if (end == env || *end != '\0' || value == 0 || value > kMaxShards) {
-      throw std::invalid_argument(
-          "store: METACORE_STORE_SHARDS must be an integer in [1, " +
-          std::to_string(kMaxShards) + "], got \"" + std::string(env) + "\"");
-    }
-    config.shards = static_cast<std::size_t>(value);
-  }
   return config;
 }
-
-/// One shard: a journal file plus its in-memory replica, lock, and
-/// accounting. With shards == 1 this is exactly the historical store.
-struct EvaluationStore::Shard {
-  std::string path;
-  mutable std::shared_mutex mutex;
-  EntryTable entries;
-  std::unique_ptr<robust::JournalWriter> writer;
-  bool fresh_start = false;    ///< load decided the file starts empty
-  bool needs_rewrite = false;  ///< load found damage/migration/dead bloat
-  bool degraded = false;
-  StoreStats stats;  // hit/miss/contention tracked separately (atomics)
-  mutable std::atomic<std::size_t> hits{0};
-  mutable std::atomic<std::size_t> misses{0};
-  std::atomic<std::size_t> contention{0};
-  /// See EvaluationStore::generation(). Written under the writer lock,
-  /// read lock-free by the response-cache validity check.
-  std::atomic<std::uint64_t> generation{0};
-
-  void open_writer(const StoreConfig& config, bool truncate) {
-    writer = std::make_unique<robust::JournalWriter>(
-        path, robust::JournalHeader{kKind, kStoreVersion}, config.durability,
-        truncate, "store.journal");
-  }
-};
 
 EvaluationStore::EvaluationStore(std::string path, StoreConfig config)
     : path_(std::move(path)), config_(config) {
   if (path_.empty()) {
     throw std::invalid_argument("store: path must be non-empty");
   }
-  if (config_.shards == 0 || config_.shards > kMaxShards) {
-    throw std::invalid_argument("store: shard count must be in [1, " +
-                                std::to_string(kMaxShards) + "]");
-  }
-  shards_.reserve(config_.shards);
-  for (std::size_t s = 0; s < config_.shards; ++s) {
-    auto shard = std::make_unique<Shard>();
-    if (config_.shards == 1) {
-      shard->path = path_;
-    } else {
-      char name[48];
-      std::snprintf(name, sizeof(name), "/shard-%02zu.journal", s);
-      shard->path = path_ + ".d" + name;
-    }
-    shards_.push_back(std::move(shard));
-  }
-  base_stats_.shards = config_.shards;
-  open_layout();
-}
-
-EvaluationStore::~EvaluationStore() = default;
-
-std::string EvaluationStore::shard_path(std::size_t shard) const {
-  return shards_.at(shard)->path;
-}
-
-EvaluationStore::Shard& EvaluationStore::shard_for(
-    std::string_view fingerprint) {
-  return *shards_[shard_index(fingerprint, shards_.size())];
-}
-
-const EvaluationStore::Shard& EvaluationStore::shard_for(
-    std::string_view fingerprint) const {
-  return *shards_[shard_index(fingerprint, shards_.size())];
-}
-
-void EvaluationStore::open_layout() {
-  namespace fs = std::filesystem;
-  const std::string dir = path_ + ".d";
-
-  // What is on disk: the single file, and any shard journals in the
-  // directory (any index — a reshard must pick stragglers up too).
+  // Older builds could spread a store over <path>.d/shard-NN.journal
+  // files. Opening around them would start cold without their
+  // evaluations, so the directory is refused whole, before anything at
+  // `path` is touched.
+  const std::string shard_dir = path_ + ".d";
   std::error_code ec;
-  const bool single_exists = fs::is_regular_file(path_, ec);
-  std::map<std::size_t, std::string> disk_shards;  // index -> path
-  if (fs::is_directory(dir, ec)) {
-    for (const auto& entry : fs::directory_iterator(dir, ec)) {
-      const std::string name = entry.path().filename().string();
-      if (name.rfind("shard-", 0) != 0 ||
-          name.size() <= 6 + std::string(".journal").size() ||
-          name.substr(name.size() - 8) != ".journal") {
-        continue;
-      }
-      const std::string digits = name.substr(6, name.size() - 6 - 8);
-      char* end = nullptr;
-      const unsigned long long index = std::strtoull(digits.c_str(), &end, 10);
-      if (end == digits.c_str() || *end != '\0') continue;
-      disk_shards.emplace(static_cast<std::size_t>(index),
-                          entry.path().string());
-    }
+  if (std::filesystem::is_directory(shard_dir, ec)) {
+    throw std::runtime_error(
+        "store: " + shard_dir +
+        " is a sharded store layout, which this build does not read (an "
+        "older build opened at one shard merges it into " +
+        path_ + ")");
   }
 
-  // The on-disk layout matches the requested one only when it is exactly
-  // the requested one: single-file mode must see no shard journals;
-  // sharded mode must see no single file and either no shard files at all
-  // (a fresh store) or precisely shards {0 .. N-1} — a partial or
-  // differently-sized set was written under different routing and must be
-  // merged, not read in place.
-  const bool exact_shard_set =
-      disk_shards.size() == config_.shards &&
-      disk_shards.begin()->first == 0 &&
-      disk_shards.rbegin()->first == config_.shards - 1;
-  const bool matches =
-      config_.shards == 1
-          ? disk_shards.empty()
-          : !single_exists && (disk_shards.empty() || exact_shard_set);
-
-  if (!matches) {
-    std::vector<std::string> sources;
-    if (single_exists) sources.push_back(path_);
-    for (const auto& [index, shard_file] : disk_shards) {
-      sources.push_back(shard_file);
-    }
-    migrate_layout(sources);
-    return;
-  }
-
-  if (config_.shards > 1) fs::create_directories(dir);
-  for (auto& shard : shards_) {
-    load_shard_in_place(*shard);
-  }
-}
-
-void EvaluationStore::load_shard_in_place(Shard& shard) {
   // A stale .tmp can only be the residue of a crash between snapshot write
   // and rename; the journal itself is authoritative.
-  std::remove((shard.path + ".tmp").c_str());
+  std::remove((path_ + ".tmp").c_str());
 
-  FileLoad load;
-  try {
-    load = load_journal_file(shard.path);
-  } catch (const robust::JournalIoError&) {
-    throw;  // the file could not be read: nothing is known to be wrong
-  } catch (const std::runtime_error& e) {
-    if (shards_.size() == 1) throw;
-    // A header-corrupt shard must not take the whole corpus down: rename
-    // it aside for forensics, count it, and restart the shard empty — the
-    // other shards keep serving everything they hold.
-    std::error_code ec;
-    std::filesystem::rename(shard.path, shard.path + ".rejected", ec);
-    if (ec) std::remove(shard.path.c_str());
-    ++base_stats_.quarantined_shards;
-    note_skip(base_stats_, std::string("store: shard quarantined to ") +
-                               shard.path + ".rejected: " + e.what());
-    load = FileLoad{};
-    load.fresh_start = true;
-  }
-
-  shard.entries = std::move(load.entries);
-  shard.stats = std::move(load.stats);
-  shard.stats.live_entries = shard.entries.size;
-  shard.fresh_start = load.fresh_start;
+  FileLoad load = load_journal_file(path_);
+  entries_ = std::make_unique<EntryTable>(std::move(load.entries));
+  stats_ = std::move(load.stats);
 
   // Recovery rewrites (damage, crash tails) are unconditional — they
   // restore the on-disk invariants. Pure duplicate bloat compacts only past
   // the configured dead-record ratio, so a long-lived server's journal
   // stays bounded without rewriting on every restart.
-  const std::size_t dead =
-      shard.stats.duplicate_records + shard.stats.skipped_records;
-  const std::size_t total = dead + shard.entries.size;
-  if (shard.stats.skipped_records > 0 || shard.stats.recovered_bytes > 0) {
-    shard.needs_rewrite = true;
-  } else if (dead > 0 && config_.auto_compact_dead_ratio > 0.0 && total > 0 &&
-             static_cast<double>(dead) >=
-                 config_.auto_compact_dead_ratio * static_cast<double>(total)) {
-    shard.needs_rewrite = true;
-  }
-
-  if (shard.needs_rewrite) {
-    compact_shard_locked(shard);  // recovery/bounded-growth rewrite
+  const std::size_t dead = stats_.duplicate_records + stats_.skipped_records;
+  const std::size_t total = dead + entries_->size;
+  const bool damaged = stats_.skipped_records > 0 || stats_.recovered_bytes > 0;
+  const bool bloated =
+      dead > 0 && config_.auto_compact_dead_ratio > 0.0 && total > 0 &&
+      static_cast<double>(dead) >=
+          config_.auto_compact_dead_ratio * static_cast<double>(total);
+  if (damaged || bloated) {
+    compact_locked();  // recovery/bounded-growth rewrite
   } else {
-    shard.open_writer(config_, shard.fresh_start);
+    open_writer(load.fresh_start);
   }
 }
 
-void EvaluationStore::migrate_layout(const std::vector<std::string>& sources) {
-  namespace fs = std::filesystem;
-  base_stats_.migrated_layout = true;
+EvaluationStore::~EvaluationStore() = default;
 
-  // Merge every source journal in deterministic order (single file first,
-  // then shards by index), first write winning — same-key records are
-  // bit-identical by construction, and any that are not are counted.
-  EntryTable merged;
-  for (const std::string& source : sources) {
-    std::remove((source + ".tmp").c_str());
-    FileLoad load;
-    try {
-      load = load_journal_file(source);
-    } catch (const robust::JournalIoError&) {
-      throw;
-    } catch (const std::runtime_error& e) {
-      if (source == path_) throw;  // single-file semantics stay strict
-      std::error_code ec;
-      fs::rename(source, source + ".rejected", ec);
-      if (ec) std::remove(source.c_str());
-      ++base_stats_.quarantined_shards;
-      note_skip(base_stats_, "store: shard quarantined to " + source +
-                                 ".rejected: " + e.what());
-      continue;
-    }
-    base_stats_.journal_records += load.stats.journal_records;
-    base_stats_.duplicate_records += load.stats.duplicate_records;
-    base_stats_.divergent_duplicates += load.stats.divergent_duplicates;
-    base_stats_.recovered_bytes += load.stats.recovered_bytes;
-    base_stats_.skipped_records += load.stats.skipped_records;
-    for (std::string& reason : load.stats.skip_reasons) {
-      if (base_stats_.skip_reasons.size() < kMaxSkipReasons) {
-        base_stats_.skip_reasons.push_back(std::move(reason));
-      }
-    }
-    for (auto& [fingerprint, points] : load.entries.scopes) {
-      for (auto& [key, packed] : points) {
-        auto [entry, inserted] =
-            merged.slot(fingerprint, key.indices, key.fidelity);
-        if (inserted) {
-          *entry = std::move(packed);
-        } else {
-          ++base_stats_.duplicate_records;
-          if (!eval_equal(*entry, packed)) {
-            ++base_stats_.divergent_duplicates;
-          }
-        }
-      }
-    }
-  }
-
-  // Distribute to the target shards and write each as an atomic snapshot.
-  // A crash anywhere in here leaves a superset of journals on disk; the
-  // next open merges again, so no completed evaluation is ever lost.
-  if (config_.shards > 1) fs::create_directories(path_ + ".d");
-  for (auto& [fingerprint, points] : merged.scopes) {
-    EntryTable& entries = shard_for(fingerprint).entries;
-    entries.size += points.size();
-    entries.scopes.emplace(fingerprint, std::move(points));
-  }
-  for (auto& shard : shards_) {
-    robust::atomic_replace_file(shard->path, snapshot_text(shard->entries),
-                                config_.durability, "store.compact", kWhat);
-    shard->open_writer(config_, false);
-    shard->stats.live_entries = shard->entries.size;
-    shard->generation.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  // Only now drop the stale sources that are not part of the new layout.
-  for (const std::string& source : sources) {
-    const bool is_target =
-        std::any_of(shards_.begin(), shards_.end(),
-                    [&](const auto& shard) { return shard->path == source; });
-    if (!is_target) std::remove(source.c_str());
-  }
-  if (config_.shards == 1) {
-    std::error_code ec;
-    fs::remove(path_ + ".d", ec);  // succeeds only when empty
-  }
+void EvaluationStore::open_writer(bool truncate) {
+  writer_ = std::make_unique<robust::JournalWriter>(
+      path_, robust::JournalHeader{kKind, kStoreVersion}, config_.durability,
+      truncate, "store.journal");
 }
 
-std::size_t EvaluationStore::compact_shard_locked(Shard& shard) {
-  const std::size_t bytes_before = file_size_of(shard.path);
-  const std::string text = snapshot_text(shard.entries);
-  if (shard.writer) {
-    shard.stats.io_retries += shard.writer->io_retries();
+std::size_t EvaluationStore::compact_locked() {
+  const std::size_t bytes_before = file_size_of(path_);
+  const std::string text = snapshot_text(*entries_);
+  if (writer_) {
+    stats_.io_retries += writer_->io_retries();
     try {
-      shard.writer->close();
+      writer_->close();
     } catch (const robust::JournalIoError&) {
       // The journal is about to be replaced wholesale; a failed drain of
       // the old fd is moot.
     }
-    shard.writer.reset();
+    writer_.reset();
   }
   try {
-    robust::atomic_replace_file(shard.path, text, config_.durability,
+    robust::atomic_replace_file(path_, text, config_.durability,
                                 "store.compact", kWhat);
   } catch (const robust::JournalIoError&) {
     // Snapshot failed before the rename: the old journal is intact. Try
     // to resume appending to it; if even that fails, degrade.
     try {
-      shard.open_writer(config_, false);
+      open_writer(false);
     } catch (const robust::JournalIoError&) {
-      shard.degraded = true;
+      degraded_ = true;
     }
     throw;
   }
-  shard.open_writer(config_, false);
-  shard.degraded = false;  // a fresh, complete journal restores durability
-  shard.needs_rewrite = false;
-  shard.generation.fetch_add(1, std::memory_order_relaxed);
-  ++shard.stats.compactions;
-  shard.stats.compaction_bytes_before = bytes_before;
-  shard.stats.compaction_bytes_after = text.size();
+  open_writer(false);
+  degraded_ = false;  // a fresh, complete journal restores durability
+  generation_.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.compactions;
+  stats_.compaction_bytes_before = bytes_before;
+  stats_.compaction_bytes_after = text.size();
   return bytes_before > text.size() ? bytes_before - text.size() : 0;
 }
 
 std::size_t EvaluationStore::compact() {
-  std::size_t reclaimed = 0;
-  for (auto& shard : shards_) {
-    std::unique_lock lock(shard->mutex);
-    reclaimed += compact_shard_locked(*shard);
-  }
-  return reclaimed;
+  std::unique_lock lock(mutex_);
+  return compact_locked();
 }
 
 std::optional<search::Evaluation> EvaluationStore::lookup(
     const std::string& fingerprint, const std::vector<int>& indices,
     int fidelity) {
-  const Shard& shard = shard_for(fingerprint);
-  std::shared_lock lock(shard.mutex);
-  const PackedEval* entry = shard.entries.find(fingerprint, indices, fidelity);
+  std::shared_lock lock(mutex_);
+  const PackedEval* entry = entries_->find(fingerprint, indices, fidelity);
   if (entry == nullptr) {
-    shard.misses.fetch_add(1, std::memory_order_relaxed);
+    misses_.fetch_add(1, std::memory_order_relaxed);
     return std::nullopt;
   }
-  shard.hits.fetch_add(1, std::memory_order_relaxed);
+  hits_.fetch_add(1, std::memory_order_relaxed);
   return unpack(*entry);
 }
 
 bool EvaluationStore::contains(std::string_view fingerprint,
                                const std::vector<int>& indices,
                                int fidelity) const {
-  const Shard& shard = shard_for(fingerprint);
-  std::shared_lock lock(shard.mutex);
-  return shard.entries.find(fingerprint, indices, fidelity) != nullptr;
+  std::shared_lock lock(mutex_);
+  return entries_->find(fingerprint, indices, fidelity) != nullptr;
 }
 
 void EvaluationStore::record(const std::string& fingerprint,
                              const std::vector<int>& indices, int fidelity,
                              const search::Evaluation& eval) {
-  Shard& shard = shard_for(fingerprint);
-  std::unique_lock lock(shard.mutex, std::try_to_lock);
+  std::unique_lock lock(mutex_, std::try_to_lock);
   if (!lock.owns_lock()) {
-    // The contention signal worker/shard sizing is tuned on: how often a
-    // writer had to wait behind another thread on the same shard.
-    shard.contention.fetch_add(1, std::memory_order_relaxed);
+    // How often a writer had to wait behind another thread: the signal
+    // for sizing the server's dispatch workers.
+    contention_.fetch_add(1, std::memory_order_relaxed);
     lock.lock();
   }
-  auto [entry, inserted] = shard.entries.slot(fingerprint, indices, fidelity);
+  auto [entry, inserted] = entries_->slot(fingerprint, indices, fidelity);
   if (!inserted) {
     // First write wins; a duplicate that is NOT bit-identical is a
     // determinism regression upstream — count it instead of masking it.
     if (!eval_equal(*entry, pack(eval))) {
-      ++shard.stats.divergent_duplicates;
+      ++stats_.divergent_duplicates;
     }
     return;
   }
   *entry = pack(eval);
-  ++shard.stats.live_entries;
-  shard.generation.fetch_add(1, std::memory_order_relaxed);
-  if (shard.degraded || !shard.writer) {
-    ++shard.stats.dropped_writes;
+  generation_.fetch_add(1, std::memory_order_relaxed);
+  if (degraded_ || !writer_) {
+    ++stats_.dropped_writes;
     return;
   }
   try {
-    shard.writer->append(payload_for(fingerprint, indices, fidelity, eval));
+    writer_->append(payload_for(fingerprint, indices, fidelity, eval));
   } catch (const robust::JournalIoError&) {
     // Terminal append failure (the retries are inside the writer): flip
-    // this shard to degraded read-only mode. The entry stays in memory so
-    // the search keeps its result; only persistence is lost — callers see
-    // it in stats() rather than as a failed query. Other shards keep
-    // journaling.
-    shard.degraded = true;
-    ++shard.stats.dropped_writes;
-    shard.stats.io_retries += shard.writer->io_retries();
+    // to degraded read-only mode. The entry stays in memory so the search
+    // keeps its result; only persistence is lost — callers see it in
+    // stats() rather than as a failed query.
+    degraded_ = true;
+    ++stats_.dropped_writes;
+    stats_.io_retries += writer_->io_retries();
     try {
-      shard.writer->close();
+      writer_->close();
     } catch (...) {
     }
-    shard.writer.reset();
+    writer_.reset();
     return;
   }
-  ++shard.stats.appends;
+  ++stats_.appends;
 }
 
-std::uint64_t EvaluationStore::generation(std::string_view fingerprint) const {
-  return shards_[shard_index(fingerprint, shards_.size())]->generation.load(
-      std::memory_order_relaxed);
+std::uint64_t EvaluationStore::generation() const {
+  return generation_.load(std::memory_order_relaxed);
 }
 
 std::size_t EvaluationStore::size() const {
-  std::size_t total = 0;
-  for (const auto& shard : shards_) {
-    std::shared_lock lock(shard->mutex);
-    total += shard->entries.size;
-  }
-  return total;
+  std::shared_lock lock(mutex_);
+  return entries_->size;
 }
 
 std::vector<std::tuple<std::vector<int>, int, search::Evaluation>>
 EvaluationStore::entries_for(const std::string& fingerprint) const {
-  const Shard& shard = shard_for(fingerprint);
-  std::shared_lock lock(shard.mutex);
+  std::shared_lock lock(mutex_);
   std::vector<std::tuple<std::vector<int>, int, search::Evaluation>> out;
-  const Scope* points = shard.entries.scope(fingerprint);
+  const Scope* points = entries_->scope(fingerprint);
   if (points == nullptr) return out;
   out.reserve(points->size());
   for (const auto& [key, packed] : *points) {
@@ -1053,55 +806,24 @@ EvaluationStore::entries_for(const std::string& fingerprint) const {
 }
 
 bool EvaluationStore::degraded() const {
-  for (const auto& shard : shards_) {
-    std::shared_lock lock(shard->mutex);
-    if (shard->degraded) return true;
-  }
-  return false;
+  std::shared_lock lock(mutex_);
+  return degraded_;
 }
 
 std::size_t EvaluationStore::divergent_duplicates() const {
-  std::size_t total = base_stats_.divergent_duplicates;
-  for (const auto& shard : shards_) {
-    std::shared_lock lock(shard->mutex);
-    total += shard->stats.divergent_duplicates;
-  }
-  return total;
+  std::shared_lock lock(mutex_);
+  return stats_.divergent_duplicates;
 }
 
 StoreStats EvaluationStore::stats() const {
-  StoreStats out = base_stats_;
-  out.shards = shards_.size();
-  out.shard_entries.reserve(shards_.size());
-  out.shard_bytes.reserve(shards_.size());
-  for (const auto& shard : shards_) {
-    std::shared_lock lock(shard->mutex);
-    const StoreStats& ss = shard->stats;
-    out.live_entries += shard->entries.size;
-    out.journal_records += ss.journal_records;
-    out.duplicate_records += ss.duplicate_records;
-    out.skipped_records += ss.skipped_records;
-    out.recovered_bytes += ss.recovered_bytes;
-    out.appends += ss.appends;
-    out.divergent_duplicates += ss.divergent_duplicates;
-    out.dropped_writes += ss.dropped_writes;
-    out.io_retries += ss.io_retries;
-    if (shard->writer) out.io_retries += shard->writer->io_retries();
-    out.compactions += ss.compactions;
-    out.compaction_bytes_before += ss.compaction_bytes_before;
-    out.compaction_bytes_after += ss.compaction_bytes_after;
-    out.degraded = out.degraded || shard->degraded;
-    for (const std::string& reason : ss.skip_reasons) {
-      if (out.skip_reasons.size() <= kMaxSkipReasons) {
-        out.skip_reasons.push_back(reason);
-      }
-    }
-    out.hits += shard->hits.load(std::memory_order_relaxed);
-    out.misses += shard->misses.load(std::memory_order_relaxed);
-    out.lock_contention += shard->contention.load(std::memory_order_relaxed);
-    out.shard_entries.push_back(shard->entries.size);
-    out.shard_bytes.push_back(file_size_of(shard->path));
-  }
+  std::shared_lock lock(mutex_);
+  StoreStats out = stats_;
+  out.live_entries = entries_->size;
+  if (writer_) out.io_retries += writer_->io_retries();
+  out.degraded = degraded_;
+  out.hits = hits_.load(std::memory_order_relaxed);
+  out.misses = misses_.load(std::memory_order_relaxed);
+  out.lock_contention = contention_.load(std::memory_order_relaxed);
   return out;
 }
 

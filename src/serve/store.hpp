@@ -1,11 +1,11 @@
 // Persistent, content-addressed evaluation store: the substrate that makes
 // MetaCore cost evaluations reusable *across* runs, searches, and service
-// queries. Storage is one or more append-only record journals
-// (robust/journal.hpp) — a self-identifying header line followed by one
-// CRC32C-guarded, length-prefixed frame per evaluation, keyed by (evaluator
-// fingerprint, grid indices, fidelity). Payloads are JSON in the
-// write_eval_record schema below, so stored doubles round-trip bit-exactly.
-// Open reads each journal with one sized read and parses every payload the
+// queries. Storage is an append-only record journal (robust/journal.hpp) —
+// a self-identifying header line followed by one CRC32C-guarded,
+// length-prefixed frame per evaluation, keyed by (evaluator fingerprint,
+// grid indices, fidelity). Payloads are JSON in the write_eval_record
+// schema below, so stored doubles round-trip bit-exactly. Open reads the
+// journal with one sized read and parses every payload the
 // writer produced with a direct parser (detail::parse_payload_direct);
 // anything else goes through the general JSON path, which alone decides
 // what is accepted or skipped and with which reason.
@@ -15,57 +15,41 @@
 // absorbs those levels without evaluator calls, walking the same
 // trajectory to the same result.
 //
-// Sharding (StoreConfig::shards, env METACORE_STORE_SHARDS):
-//  * shards == 1 keeps the historical single-file layout at `path`,
-//    byte-compatible with every v2 store ever written.
-//  * shards == N > 1 spreads the corpus over `path`.d/shard-00.journal …
-//    shard-(N-1).journal, routed by fingerprint_hash(fingerprint) % N — so
-//    every entry of one evaluator scope lives in exactly one shard, and
-//    lookups/records/compactions on distinct fingerprints touch distinct
-//    files behind distinct locks. One torn shard recovers (or, for
-//    header-level corruption, is quarantined aside) without blocking the
-//    others.
-//  * Layout migration is transparent: opening a single-file store with
-//    N > 1 shards, a sharded store with 1, or resharding N -> M merges
-//    every journal found (first write wins; bit-different duplicates are
-//    counted as divergent), rewrites the requested layout atomically, and
-//    removes the stale files. A crash mid-migration leaves both layouts on
-//    disk; the next open simply merges again — no completed evaluation is
-//    ever lost.
+// Layout: one journal at `path`, byte-compatible with every v2 store ever
+// written. A `path`.d/ directory is the sharded layout older builds could
+// write; open refuses it with an error naming the directory and leaves its
+// bytes alone, so its evaluations are never silently missing from a store
+// that opens cold.
 //
-// Durability and recovery (per shard):
+// Durability and recovery:
 //  * Appends go through a pluggable durability policy (none | flush |
 //    fsync-every-N | fsync-on-close; METACORE_DURABILITY overrides), so a
 //    deployment chooses its crash window. A crash can only ever leave one
-//    incomplete frame at the tail of one shard; load drops it silently —
+//    incomplete frame at the tail of the journal; load drops it silently —
 //    no completed evaluation is lost.
 //  * Every frame carries its own CRC32C: mid-file damage (bit rot, torn
 //    sectors) is skipped per record with a counted, descriptive reason in
 //    stats() instead of poisoning the whole journal. Header-level problems
-//    (foreign file, unsupported version) reject a single-file store; in a
-//    sharded store the bad shard is renamed to <shard>.rejected, counted
-//    in quarantined_shards, and restarted empty while the rest serve.
-//  * Snapshot + compaction: compact() rewrites each shard's live set as a
+//    (foreign file, unsupported version) reject the store.
+//  * Snapshot + compaction: compact() rewrites the live set as a
 //    checksummed snapshot via tmp file + fsync + atomic rename; it runs
-//    automatically at open when a shard's dead-record ratio (duplicates +
+//    automatically at open when the dead-record ratio (duplicates +
 //    damage) crosses StoreConfig::auto_compact_dead_ratio, so a long-lived
-//    server's journals stay bounded.
+//    server's journal stays bounded.
 //  * Degraded read-only mode: when an append fails terminally (disk gone
-//    bad mid-run, after bounded retries), the affected shard keeps serving
-//    lookups and absorbing records in memory but stops journaling; stats()
-//    reports degraded=true and the dropped-write count, and a successful
-//    compact() re-establishes the journal. Healthy shards keep journaling.
+//    bad mid-run, after bounded retries), the store keeps serving lookups
+//    and absorbing records in memory but stops journaling; stats() reports
+//    degraded=true and the dropped-write count, and a successful compact()
+//    re-establishes the journal.
 //
 // Crash points: every journal write/fsync/rename boundary consults a named
 // fail point ("store.journal.*", "store.compact.*"; robust/failpoint.hpp),
 // so the crash-matrix tests enumerate byte-exact kill points.
 //
 // Concurrency discipline: any number of concurrent readers (lookup), one
-// writer at a time *per shard* (record) — enforced in-process with a
-// shared mutex per shard; writers on distinct shards proceed in parallel,
-// and blocked writer acquisitions are counted in
-// StoreStats::lock_contention. Cross-process single-writer discipline is
-// the caller's contract.
+// writer at a time (record) — enforced in-process with a shared mutex;
+// blocked writer acquisitions are counted in StoreStats::lock_contention.
+// Cross-process single-writer discipline is the caller's contract.
 #pragma once
 
 #include <cstddef>
@@ -142,22 +126,18 @@ bool parse_payload_direct(std::string_view payload, StorePayload& out);
 std::pair<std::string, EvalRecord> parse_payload_json(
     const std::string& payload);
 
+/// The store's records in memory (defined in store.cpp).
+struct EntryTable;
+
 }  // namespace detail
 
-/// Stable 64-bit FNV-1a over the fingerprint bytes: the routing hash that
-/// assigns an evaluator scope to a store shard — and, in the networked
-/// server, to a dispatch worker. Stable across runs, builds, and hosts by
-/// construction (pure byte arithmetic), so a store written at N shards is
-/// read back identically anywhere.
+/// Stable 64-bit FNV-1a over the fingerprint bytes: the routing hash the
+/// networked server takes modulo its worker count to assign an evaluator
+/// scope to a dispatch worker. Stable across runs, builds, and hosts by
+/// construction (pure byte arithmetic).
 std::uint64_t fingerprint_hash(std::string_view fingerprint) noexcept;
 
-/// The shard owning `fingerprint` in an N-shard layout:
-/// fingerprint_hash(fingerprint) % shard_count.
-std::size_t shard_index(std::string_view fingerprint,
-                        std::size_t shard_count) noexcept;
-
-/// Load + traffic accounting; all counters are since open, summed over the
-/// shards (per-shard breakdowns at the bottom).
+/// Load + traffic accounting; all counters are since open.
 struct StoreStats {
   std::size_t live_entries = 0;      ///< distinct keys held after load
   std::size_t journal_records = 0;   ///< intact record frames parsed at load
@@ -176,61 +156,44 @@ struct StoreStats {
   std::size_t compactions = 0;       ///< snapshot rewrites since open
   std::size_t compaction_bytes_before = 0;  ///< journal size before last one
   std::size_t compaction_bytes_after = 0;   ///< ... and after
-  bool degraded = false;             ///< any shard lost its journal mid-run
+  bool degraded = false;             ///< the journal was lost mid-run
   /// One descriptive reason per skipped record (capped), e.g. the CRC
   /// mismatch and offset.
   std::vector<std::string> skip_reasons;
-
-  // Shard-layout accounting.
-  std::size_t shards = 1;            ///< shard count of this open store
-  /// True when open() found a different layout (single file vs sharded,
-  /// or another shard count) and rewrote it.
-  bool migrated_layout = false;
-  /// Shards whose journal failed header-level validation and were renamed
-  /// to <shard>.rejected (sharded layouts only; the shard restarts empty).
-  std::size_t quarantined_shards = 0;
-  /// record() writer-lock acquisitions that found the shard lock held and
-  /// had to block — the contention signal worker/shard sizing tunes on.
+  /// record() writer-lock acquisitions that found the lock held and had
+  /// to block: how often one dispatch worker's append waited on another's.
   std::size_t lock_contention = 0;
-  std::vector<std::size_t> shard_entries;  ///< live keys per shard
-  std::vector<std::size_t> shard_bytes;    ///< journal bytes on disk per shard
 };
 
 struct StoreConfig {
   /// Append durability; defaults to the process-wide policy
   /// (METACORE_DURABILITY, else flush).
   robust::DurabilityConfig durability{};
-  /// Auto-compaction trigger at open: rewrite a shard when
+  /// Auto-compaction trigger at open: rewrite the journal when
   /// dead / (dead + live) >= ratio, dead = duplicate + skipped records.
   /// <= 0 disables ratio-triggered compaction (recovery rewrites for
-  /// damage/tails still happen). Override with
-  /// METACORE_STORE_COMPACT_RATIO.
+  /// damage/tails still happen).
   double auto_compact_dead_ratio = 0.25;
-  /// Shard count (1 = historical single-file layout). Override with
-  /// METACORE_STORE_SHARDS; must be in [1, 256].
-  std::size_t shards = 1;
 
-  /// durability from METACORE_DURABILITY, ratio from
-  /// METACORE_STORE_COMPACT_RATIO, shards from METACORE_STORE_SHARDS;
-  /// throws std::invalid_argument on malformed values.
+  /// durability from METACORE_DURABILITY; throws std::invalid_argument on
+  /// a malformed value.
   static StoreConfig from_env();
 };
 
 class EvaluationStore final : public search::EvaluationStoreBase {
  public:
-  /// Opens (creating if absent) the store at `path`, replaying every
-  /// journal of the on-disk layout into memory with tail recovery,
-  /// per-record damage skipping, layout migration, and ratio-triggered
-  /// compaction as described above. Throws std::runtime_error naming the
-  /// path on I/O failure, a single-file store that is not a framed journal
-  /// of this kind (a v1 store included; the file is left untouched), or a
-  /// version mismatch.
+  /// Opens (creating if absent) the store at `path`, replaying its journal
+  /// into memory with tail recovery, per-record damage skipping, and
+  /// ratio-triggered compaction as described above. Throws
+  /// std::runtime_error naming the path on I/O failure, a file that is not
+  /// a framed journal of this kind (a v1 store included; the file is left
+  /// untouched), a version mismatch, or a `path`.d/ sharded-layout
+  /// directory (left untouched too).
   explicit EvaluationStore(std::string path,
                            StoreConfig config = StoreConfig::from_env());
-  ~EvaluationStore() override;  // out-of-line: Shard is incomplete here
+  ~EvaluationStore() override;  // out-of-line: EntryTable is incomplete here
 
-  /// Thread-safe; concurrent lookups proceed in parallel (across and
-  /// within shards).
+  /// Thread-safe; concurrent lookups proceed in parallel.
   std::optional<search::Evaluation> lookup(const std::string& fingerprint,
                                            const std::vector<int>& indices,
                                            int fidelity) override;
@@ -240,40 +203,38 @@ class EvaluationStore final : public search::EvaluationStoreBase {
   bool contains(std::string_view fingerprint, const std::vector<int>& indices,
                 int fidelity) const;
 
-  /// Thread-safe; writers are serialized per shard (distinct fingerprints
-  /// usually append concurrently). A key already present is left untouched
-  /// (first write wins); a duplicate whose evaluation *differs* bumps
-  /// divergent_duplicates. In degraded mode the entry is kept in memory
-  /// (searches keep working) and counted as a dropped write.
+  /// Thread-safe; writers are serialized. A key already present is left
+  /// untouched (first write wins); a duplicate whose evaluation *differs*
+  /// bumps divergent_duplicates. In degraded mode the entry is kept in
+  /// memory (searches keep working) and counted as a dropped write.
   void record(const std::string& fingerprint, const std::vector<int>& indices,
               int fidelity, const search::Evaluation& eval) override;
 
-  /// Number of distinct keys currently held (all shards).
+  /// Number of distinct keys currently held.
   std::size_t size() const;
 
   /// Entries recorded under `fingerprint`, as (indices, fidelity, eval)
   /// tuples in deterministic key order — the warm-start seed for Pareto
-  /// archives. Reads exactly one shard.
+  /// archives.
   std::vector<std::tuple<std::vector<int>, int, search::Evaluation>>
   entries_for(const std::string& fingerprint) const;
 
-  /// Rewrites every shard's journal as a compacted snapshot of its live
-  /// set (tmp file + fsync + atomic rename), dropping dead records;
-  /// re-establishes journaling after degraded mode. Returns bytes
-  /// reclaimed. Throws robust::JournalIoError when a rewrite fails.
+  /// Rewrites the journal as a compacted snapshot of the live set (tmp
+  /// file + fsync + atomic rename), dropping dead records; re-establishes
+  /// journaling after degraded mode. Returns bytes reclaimed. Throws
+  /// robust::JournalIoError when the rewrite fails.
   std::size_t compact();
 
-  /// True once an append has failed terminally on any shard: lookups and
-  /// in-memory recording still work, that shard's journal does not grow.
+  /// True once an append has failed terminally: lookups and in-memory
+  /// recording still work, the journal does not grow.
   bool degraded() const;
 
-  /// Mutation generation of the shard owning `fingerprint`: bumped on every
-  /// new-key record() (journaled or in-memory), every compaction of that
-  /// shard, and layout migration at open. A serialized-response cache entry
-  /// stamped with the generation observed around its search is valid
-  /// exactly while this number holds still — any append or rewrite that
-  /// could change what a repeat query would answer advances it.
-  std::uint64_t generation(std::string_view fingerprint) const;
+  /// Mutation generation of the store: bumped on every new-key record()
+  /// (journaled or in-memory) and every compaction. A serialized-response
+  /// cache entry stamped with the generation observed around its search is
+  /// valid exactly while this number holds still — any append or rewrite
+  /// that could change what a repeat query would answer advances it.
+  std::uint64_t generation() const;
 
   std::size_t divergent_duplicates() const override;
 
@@ -281,28 +242,23 @@ class EvaluationStore final : public search::EvaluationStoreBase {
 
   const std::string& path() const { return path_; }
 
-  std::size_t shard_count() const { return shards_.size(); }
-
-  /// On-disk journal path of shard `shard` (the configured path itself in
-  /// the single-file layout).
-  std::string shard_path(std::size_t shard) const;
-
  private:
-  struct Shard;
-
-  Shard& shard_for(std::string_view fingerprint);
-  const Shard& shard_for(std::string_view fingerprint) const;
-  void open_layout();
-  void load_shard_in_place(Shard& shard);
-  void migrate_layout(const std::vector<std::string>& sources);
-  std::size_t compact_shard_locked(Shard& shard);
+  void open_writer(bool truncate);
+  std::size_t compact_locked();
 
   std::string path_;
   StoreConfig config_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  /// Load accounting from a layout migration (per-shard loads write into
-  /// their shard's stats instead).
-  StoreStats base_stats_;
+  mutable std::shared_mutex mutex_;
+  std::unique_ptr<detail::EntryTable> entries_;
+  std::unique_ptr<robust::JournalWriter> writer_;
+  bool degraded_ = false;
+  StoreStats stats_;  // hits, misses and contention live in the atomics
+  mutable std::atomic<std::size_t> hits_{0};
+  mutable std::atomic<std::size_t> misses_{0};
+  std::atomic<std::size_t> contention_{0};
+  /// See generation(). Written under the writer lock, read lock-free by
+  /// the response-cache validity check.
+  std::atomic<std::uint64_t> generation_{0};
 };
 
 }  // namespace metacore::serve

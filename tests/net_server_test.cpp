@@ -49,10 +49,6 @@ using namespace std::chrono_literals;
 std::string temp_store_path(const char* name) {
   const std::string path = testing::TempDir() + "/" + name;
   std::remove(path.c_str());
-  // Clear any sharded layout (`path.d/`) a previous run under
-  // METACORE_STORE_SHARDS may have left behind.
-  std::error_code ec;
-  std::filesystem::remove_all(path + ".d", ec);
   return path;
 }
 
@@ -314,7 +310,7 @@ TEST(DesignServer, ConcurrentConnectionsAreByteIdenticalAtAnyWidth) {
   std::remove(store_path.c_str());
 }
 
-TEST(DesignServer, WorkerShardConnectionMatrixIsByteIdentical) {
+TEST(DesignServer, WorkerConnectionMatrixIsByteIdentical) {
   const std::string store_path = temp_store_path("net_matrix.store");
 
   // Four distinct queries, warmed once; the reference bytes are what a
@@ -339,7 +335,7 @@ TEST(DesignServer, WorkerShardConnectionMatrixIsByteIdentical) {
     }
   }
 
-  // The full decomposition matrix: every workers x shards x connections x
+  // The full decomposition matrix: every workers x connections x
   // wire-mode point must produce exactly the reference bytes for every
   // query. Odd connections negotiate the MCB1 binary mode (so both wire
   // modes run concurrently against one server); a binary answer decodes
@@ -347,57 +343,50 @@ TEST(DesignServer, WorkerShardConnectionMatrixIsByteIdentical) {
   constexpr std::size_t kQueries = 16;
   for (const std::size_t workers : {std::size_t{1}, std::size_t{2},
                                     std::size_t{8}}) {
-    for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-      serve::StoreConfig store_config;
-      store_config.shards = shards;
-      serve::ServiceConfig service_config;
-      service_config.store = std::make_shared<serve::EvaluationStore>(
-          store_path, store_config);
-      auto service = std::make_shared<serve::DesignService>(service_config);
-      ServerConfig server_config = loopback_config();
-      server_config.search_workers = workers;
-      DesignServer server(service, server_config);
-      server.start();
+    serve::ServiceConfig service_config;
+    service_config.store = std::make_shared<serve::EvaluationStore>(store_path);
+    auto service = std::make_shared<serve::DesignService>(service_config);
+    ServerConfig server_config = loopback_config();
+    server_config.search_workers = workers;
+    DesignServer server(service, server_config);
+    server.start();
 
-      for (const std::size_t connections : {std::size_t{1}, std::size_t{4},
-                                            std::size_t{16}}) {
-        std::vector<std::vector<std::string>> got(connections);
-        std::vector<std::thread> senders;
-        for (std::size_t c = 0; c < connections; ++c) {
-          senders.emplace_back([&, c] {
-            DesignClient client;
-            client.connect("127.0.0.1", server.port());
-            if (c % 2 == 1) {
-              ASSERT_TRUE(client.negotiate_binary());
-            }
-            std::vector<std::string> ids;
-            for (std::size_t q = c; q < kQueries; q += connections) {
-              const std::string id = "m" + std::to_string(q);
-              client.send_query(id, unique[q % unique.size()]);
-              ids.push_back(id);
-            }
-            for (const std::string& id : ids) {
-              const WireResponse response = client.recv_matching(id);
-              ASSERT_TRUE(response.ok()) << response.reason;
-              got[c].push_back(response.response_json);
-            }
-          });
-        }
-        for (auto& sender : senders) sender.join();
-        for (std::size_t c = 0; c < connections; ++c) {
-          std::size_t k = 0;
-          for (std::size_t q = c; q < kQueries; q += connections, ++k) {
-            EXPECT_EQ(got[c][k], reference[q % unique.size()])
-                << "workers=" << workers << " shards=" << shards
-                << " connections=" << connections << " query=" << q
-                << " wire=" << (c % 2 == 1 ? "binary" : "text");
+    for (const std::size_t connections : {std::size_t{1}, std::size_t{4},
+                                          std::size_t{16}}) {
+      std::vector<std::vector<std::string>> got(connections);
+      std::vector<std::thread> senders;
+      for (std::size_t c = 0; c < connections; ++c) {
+        senders.emplace_back([&, c] {
+          DesignClient client;
+          client.connect("127.0.0.1", server.port());
+          if (c % 2 == 1) {
+            ASSERT_TRUE(client.negotiate_binary());
           }
+          std::vector<std::string> ids;
+          for (std::size_t q = c; q < kQueries; q += connections) {
+            const std::string id = "m" + std::to_string(q);
+            client.send_query(id, unique[q % unique.size()]);
+            ids.push_back(id);
+          }
+          for (const std::string& id : ids) {
+            const WireResponse response = client.recv_matching(id);
+            ASSERT_TRUE(response.ok()) << response.reason;
+            got[c].push_back(response.response_json);
+          }
+        });
+      }
+      for (auto& sender : senders) sender.join();
+      for (std::size_t c = 0; c < connections; ++c) {
+        std::size_t k = 0;
+        for (std::size_t q = c; q < kQueries; q += connections, ++k) {
+          EXPECT_EQ(got[c][k], reference[q % unique.size()])
+              << "workers=" << workers << " connections=" << connections
+              << " query=" << q
+              << " wire=" << (c % 2 == 1 ? "binary" : "text");
         }
       }
-      server.shutdown();
-      // Every decomposition leaves the corpus equivalent: migrating back
-      // to one file must reproduce the single-file layout losslessly.
     }
+    server.shutdown();
   }
   serve::EvaluationStore final_store(store_path);
   EXPECT_GT(final_store.size(), 0u);
@@ -548,7 +537,7 @@ TEST(DesignServer, ACachedRepeatPipelinedBehindAStoreAppendWaitsForIt) {
   const std::size_t invalidations =
       service->stats().response_cache_invalidations;
 
-  // A wider search on the same scope appends to its store shard. The cached
+  // A wider search on the same scope appends to the store. The cached
   // repeat pipelined right behind it must not be answered from the bytes
   // cached before the append: it runs after the search, finds its entry
   // stale, and answers afresh.

@@ -33,20 +33,7 @@ std::string temp_path(const char* name) {
   const std::string path = testing::TempDir() + "/" + name;
   std::remove(path.c_str());
   std::remove((path + ".tmp").c_str());
-  // A run under METACORE_STORE_SHARDS leaves `path.d/` behind; a stale
-  // shard directory would replay into a test expecting a cold store.
-  std::error_code ec;
-  std::filesystem::remove_all(path + ".d", ec);
   return path;
-}
-
-/// Explicit single-file layout for the tests that assert the bytes of
-/// `path` itself, whatever METACORE_STORE_SHARDS says. Everything else
-/// from the environment still applies.
-serve::StoreConfig single_file() {
-  serve::StoreConfig config = serve::StoreConfig::from_env();
-  config.shards = 1;
-  return config;
 }
 
 std::string read_file(const std::string& path) {
@@ -89,7 +76,7 @@ std::string reference_journal(const std::string& dir_tag, int k) {
   const std::string path =
       temp_path(("crash_ref_" + dir_tag + "_" + std::to_string(k)).c_str());
   {
-    serve::EvaluationStore store(path, single_file());
+    serve::EvaluationStore store(path);
     for (int n = 1; n <= k; ++n) record_nth(store, n);
   }
   const std::string bytes = read_file(path);
@@ -216,7 +203,7 @@ TEST(CrashMatrix, StoreJournalSurvivesEveryByteBoundary) {
 
       bool crashed = false;
       {
-        serve::EvaluationStore store(path, single_file());
+        serve::EvaluationStore store(path);
         try {
           for (int i = 1; i <= kSessionRecords; ++i) record_nth(store, i);
         } catch (const CrashInjected&) {
@@ -229,7 +216,7 @@ TEST(CrashMatrix, StoreJournalSurvivesEveryByteBoundary) {
       // A full frame followed by the crash means record n survived.
       const int kept = b == frame_sizes[n - 1] ? n : n - 1;
       {
-        serve::EvaluationStore store(path, single_file());
+        serve::EvaluationStore store(path);
         ASSERT_EQ(store.size(), static_cast<std::size_t>(kept))
             << "record " << n << " byte " << b;
         for (int i = 1; i <= kept; ++i) {
@@ -244,7 +231,7 @@ TEST(CrashMatrix, StoreJournalSurvivesEveryByteBoundary) {
       // Finish the session; completion must converge byte-for-byte with
       // the uninterrupted run, and survivors must not be re-journaled.
       {
-        serve::EvaluationStore store(path, single_file());
+        serve::EvaluationStore store(path);
         for (int i = 1; i <= kSessionRecords; ++i) record_nth(store, i);
         EXPECT_EQ(store.stats().appends,
                   static_cast<std::size_t>(kSessionRecords - kept));
@@ -274,10 +261,10 @@ TEST(CrashMatrix, StoreHeaderWriteSurvivesEveryByteBoundary) {
     FailPointSpec spec;
     spec.partial_bytes = b;
     FailPoints::instance().arm("store.journal.header", spec);
-    EXPECT_THROW(serve::EvaluationStore store(path, single_file()), CrashInjected);
+    EXPECT_THROW(serve::EvaluationStore store(path), CrashInjected);
     FailPoints::instance().reset();
 
-    serve::EvaluationStore store(path, single_file());
+    serve::EvaluationStore store(path);
     EXPECT_EQ(store.size(), 0u);
     record_nth(store, 1);
     EXPECT_EQ(store.stats().appends, 1u);
@@ -313,13 +300,13 @@ TEST(CrashMatrix, CompactionCrashLeavesOldOrNewJournal) {
     FailPointSpec spec;
     spec.partial_bytes = partial;
     FailPoints::instance().arm(point, spec);
-    EXPECT_THROW(serve::EvaluationStore store(path, single_file()), CrashInjected) << point;
+    EXPECT_THROW(serve::EvaluationStore store(path), CrashInjected) << point;
     FailPoints::instance().reset();
 
     // Old-or-new, never torn: whatever is on disk replays to the same
     // two live records (and the interrupted compaction reruns if the old
     // file survived).
-    serve::EvaluationStore store(path, single_file());
+    serve::EvaluationStore store(path);
     EXPECT_EQ(store.size(), 2u) << point;
     ASSERT_TRUE(store.lookup("fp", {1}, 0).has_value()) << point;
     ASSERT_TRUE(store.lookup("fp", {2}, 0).has_value()) << point;
@@ -383,7 +370,7 @@ TEST(CorruptionFuzz, EveryRecordSkippedWithCountedReasonWhenBitFlipped) {
   constexpr int kRecords = 8;
   const std::string path = temp_path("fuzz.jsonl");
   {
-    serve::EvaluationStore store(path, single_file());
+    serve::EvaluationStore store(path);
     for (int n = 1; n <= kRecords; ++n) record_nth(store, n);
   }
   const std::string pristine = read_file(path);
@@ -406,7 +393,7 @@ TEST(CorruptionFuzz, EveryRecordSkippedWithCountedReasonWhenBitFlipped) {
     damaged[victim] ^= 0x10;
     write_file(path, damaged);
 
-    serve::EvaluationStore store(path, single_file());
+    serve::EvaluationStore store(path);
     const auto stats = store.stats();
     EXPECT_GE(stats.skipped_records, 1u) << "record " << n;
     EXPECT_FALSE(stats.skip_reasons.empty()) << "record " << n;
@@ -448,57 +435,44 @@ TEST(IoErrors, TransientAppendFailureRetriesAndSucceeds) {
   std::remove(path.c_str());
 }
 
-// A replace whose tmp writes never succeed gives up with an error that
-// carries its prefix, and the published file keeps its old bytes.
-// Open reads each journal whole. A read that stops short fails the open
-// with the path named, and leaves every journal file as it was, in either
-// layout: replayed, the part read would look like a crashed tail, and the
-// recovery rewrite would drop every record past it (or, sharded, the shard
-// would be quarantined).
+// Open reads the journal whole. A read that stops short fails the open
+// with the path named and leaves the journal as it was: replayed, the part
+// read would look like a crashed tail, and the recovery rewrite would drop
+// every record past it.
 TEST(IoErrors, ShortReadAtOpenFailsAndKeepsTheJournal) {
   FailPointGuard guard;
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-    const std::string path = temp_path("short_read.jsonl");
-    serve::StoreConfig config = serve::StoreConfig::from_env();
-    config.shards = shards;
-    std::vector<std::string> files;
-    std::vector<std::string> before;
-    {
-      serve::EvaluationStore store(path, config);
-      for (int n = 1; n <= 4; ++n) {
-        store.record("fp-" + std::to_string(n), {n}, 0, eval_with_cost(n));
-      }
-      for (std::size_t s = 0; s < shards; ++s) {
-        files.push_back(store.shard_path(s));
-      }
+  const std::string path = temp_path("short_read.store");
+  {
+    serve::EvaluationStore store(path);
+    for (int n = 1; n <= 4; ++n) {
+      store.record("fp-" + std::to_string(n), {n}, 0, eval_with_cost(n));
     }
-    for (const std::string& file : files) before.push_back(read_file(file));
-
-    FailPoints::instance().reset();
-    FailPointSpec spec;
-    spec.action = FailPointSpec::Action::IoError;
-    FailPoints::instance().arm("store.journal.read", spec);
-    try {
-      serve::EvaluationStore store(path, config);
-      ADD_FAILURE() << shards << " shard(s): a short read must fail the open";
-    } catch (const JournalIoError& e) {
-      EXPECT_NE(std::string(e.what()).find("short read of " + files[0]),
-                std::string::npos)
-          << e.what();
-    }
-    FailPoints::instance().reset();
-    for (std::size_t f = 0; f < files.size(); ++f) {
-      EXPECT_EQ(read_file(files[f]), before[f]) << files[f];
-      EXPECT_FALSE(std::filesystem::exists(files[f] + ".rejected"));
-    }
-
-    serve::EvaluationStore store(path, config);
-    EXPECT_EQ(store.size(), 4u) << shards;
-    EXPECT_EQ(store.stats().recovered_bytes, 0u) << shards;
-    EXPECT_EQ(store.stats().quarantined_shards, 0u) << shards;
   }
+  const std::string before = read_file(path);
+
+  FailPoints::instance().reset();
+  FailPointSpec spec;
+  spec.action = FailPointSpec::Action::IoError;
+  FailPoints::instance().arm("store.journal.read", spec);
+  try {
+    serve::EvaluationStore store(path);
+    ADD_FAILURE() << "a short read must fail the open";
+  } catch (const JournalIoError& e) {
+    EXPECT_NE(std::string(e.what()).find("short read of " + path),
+              std::string::npos)
+        << e.what();
+  }
+  FailPoints::instance().reset();
+  EXPECT_EQ(read_file(path), before);
+
+  serve::EvaluationStore store(path);
+  EXPECT_EQ(store.size(), 4u);
+  EXPECT_EQ(store.stats().recovered_bytes, 0u);
+  std::remove(path.c_str());
 }
 
+// A replace whose tmp writes never succeed gives up with an error that
+// carries its prefix, and the published file keeps its old bytes.
 TEST(IoErrors, PersistentReplaceWriteErrorKeepsTheOldFile) {
   FailPointGuard guard;
   const std::string path = temp_path("replace_dead.txt");

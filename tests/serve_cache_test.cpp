@@ -1,15 +1,15 @@
 // The serialized-response cache behind DesignService::submit_encoded: a
 // repeat of an identical query whose evaluator scope held still is
 // answered as cached pre-encoded bytes (zero re-search), and any
-// generation movement — store append, compaction, layout migration, or
-// archive growth — invalidates the entry so a cached answer is always
+// generation movement — store append, compaction, or archive growth —
+// invalidates the entry so a cached answer is always
 // byte-identical to what a fresh submit() would produce right now.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -24,8 +24,6 @@ namespace {
 std::string temp_store_path(const char* name) {
   const std::string path = testing::TempDir() + "/" + name;
   std::remove(path.c_str());
-  std::error_code ec;
-  std::filesystem::remove_all(path + ".d", ec);
   return path;
 }
 
@@ -124,7 +122,7 @@ TEST(ResponseCache, StoreAppendInvalidatesTheEntry) {
 
   // A wider-budget query on the SAME evaluator scope (budget is not part
   // of the fingerprint) evaluates fresh points and appends them to the
-  // same store shard — the generation moves under the cached entry.
+  // store — the generation moves under the cached entry.
   DesignQuery wider = query;
   wider.budget.initial_points_per_dim = 3;
   wider.budget.max_evaluations = 48;
@@ -158,26 +156,33 @@ TEST(ResponseCache, CompactionInvalidatesTheEntry) {
   EXPECT_EQ(*after, to_json(service.submit(query)));
 }
 
-TEST(ResponseCache, LayoutMigrationBumpsTheStoreGeneration) {
-  // The migration arm of the invalidation contract: reopening a store
-  // into a different shard layout rewrites every shard, so a service
-  // attached to the migrated store sees a fresh generation and can never
-  // serve bytes stamped under the old layout.
-  const std::string path = temp_store_path("cache_migrate.jsonl");
-  const DesignQuery query = tiny_query();
-  const std::string fingerprint = query_fingerprint(query);
-  {
-    StoreConfig store_config;
-    store_config.shards = 1;
-    DesignService service(
-        {path, std::make_shared<EvaluationStore>(path, store_config)});
-    service.submit(query);
-  }
-  StoreConfig resharded;
-  resharded.shards = 4;
-  EvaluationStore migrated(path, resharded);
-  EXPECT_TRUE(migrated.stats().migrated_layout);
-  EXPECT_GE(migrated.generation(fingerprint), 1u);
+TEST(ResponseCache, AppendUnderAnotherScopeInvalidatesTheEntry) {
+  // The store generation is one counter for the whole store, so an append
+  // under any evaluator scope moves it. The cached entry of an untouched
+  // scope is dropped and re-searched, and the answer it gives is the one
+  // it gave before: its own points did not change.
+  if (cache_disabled_by_env()) GTEST_SKIP() << kNoCache;
+  ServiceConfig config;
+  config.store_path = temp_store_path("cache_other_scope.jsonl");
+  DesignService service(config);
+  const DesignQuery query = tiny_query(1.0);
+  const DesignQuery other = tiny_query(4.0);
+  ASSERT_NE(query_fingerprint(query), query_fingerprint(other));
+  const auto cached = warm_cache(service, query, WireEncoding::Json);
+  ASSERT_EQ(service.response_cache_size(), 1u);
+  const std::uint64_t generation = service.store()->generation();
+
+  service.submit(other);
+  ASSERT_GT(service.store()->generation(), generation);
+
+  const ServiceStats before = service.stats();
+  const auto after = service.submit_encoded(query, WireEncoding::Json);
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.response_cache_invalidations,
+            before.response_cache_invalidations + 1);
+  EXPECT_EQ(stats.response_cache_hits, before.response_cache_hits);
+  EXPECT_EQ(*after, *cached);
+  EXPECT_EQ(*after, to_json(service.submit(query)));
 }
 
 TEST(ResponseCache, CapacityZeroDisablesCaching) {

@@ -4,12 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "exec/thread_pool.hpp"
+#include "robust/json.hpp"
 #include "serve/service.hpp"
 
 namespace metacore::serve {
@@ -18,11 +18,6 @@ namespace {
 std::string temp_store_path(const char* name) {
   const std::string path = testing::TempDir() + "/" + name;
   std::remove(path.c_str());
-  // Also clear a sharded layout (`path.d/`) left by a run under
-  // METACORE_STORE_SHARDS: opening the path would migrate it back in and
-  // the test would not start cold.
-  std::error_code ec;
-  std::filesystem::remove_all(path + ".d", ec);
   return path;
 }
 
@@ -194,6 +189,36 @@ TEST(DesignService, WarmStoreAnswersRepeatQueryWithoutEvaluatorCalls) {
   EXPECT_EQ(store_stats.misses, 0u);   // evaluator never consulted
   EXPECT_EQ(store_stats.appends, 0u);  // nothing fresh to record
   std::remove(path.c_str());
+}
+
+// The stats reply's store member describes the one journal: its fields,
+// in order, and values that agree with the store's own stats().
+TEST(DesignService, StatsJsonStoreMemberDescribesTheOneJournal) {
+  ServiceConfig config;
+  config.store_path = temp_store_path("service_stats.jsonl");
+  DesignService service(config);
+  service.submit(small_viterbi_query());
+
+  const robust::JsonValue doc =
+      robust::parse_json(service.stats_json(), "stats");
+  const robust::JsonValue* store = doc.find("store");
+  ASSERT_NE(store, nullptr);
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : store->object) keys.push_back(key);
+  EXPECT_EQ(keys, (std::vector<std::string>{
+                      "attached", "entries", "hits", "misses", "appends",
+                      "divergent_duplicates", "dropped_writes", "degraded",
+                      "lock_contention"}));
+  const StoreStats stats = service.store()->stats();
+  EXPECT_TRUE(store->find("attached")->boolean);
+  EXPECT_EQ(store->find("entries")->number,
+            static_cast<double>(service.store()->size()));
+  EXPECT_EQ(store->find("appends")->number,
+            static_cast<double>(stats.appends));
+  EXPECT_GT(stats.appends, 0u);
+  EXPECT_EQ(store->find("misses")->number, static_cast<double>(stats.misses));
+  EXPECT_FALSE(store->find("degraded")->boolean);
+  std::remove(config.store_path.c_str());
 }
 
 TEST(DesignService, ArchiveAnswersConstraintOnlyQueriesWithoutSearching) {

@@ -14,10 +14,12 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -40,22 +42,7 @@ namespace {
 std::string temp_store_path(const char* name) {
   const std::string path = testing::TempDir() + "/" + name;
   std::remove(path.c_str());
-  // Also clear any sharded layout (`path.d/`) a previous run under
-  // METACORE_STORE_SHARDS may have left behind — a stale shard directory
-  // would replay into a test expecting a cold store.
-  std::error_code ec;
-  std::filesystem::remove_all(path + ".d", ec);
   return path;
-}
-
-/// Explicit single-file layout: the byte-level journal tests assert the
-/// on-disk format of `path` itself, so an ambient METACORE_STORE_SHARDS
-/// (the CI worker-pool matrix sets it) must not move the records into a
-/// shard directory. Everything else from the environment still applies.
-StoreConfig single_file() {
-  StoreConfig config = StoreConfig::from_env();
-  config.shards = 1;
-  return config;
 }
 
 std::string read_file(const std::string& path) {
@@ -85,12 +72,61 @@ search::Evaluation sample_eval(double cost) {
 
 TEST(EvaluationStore, CreatesFreshJournalWithHeader) {
   const std::string path = temp_store_path("fresh.jsonl");
-  EvaluationStore store(path, single_file());
+  EvaluationStore store(path);
   EXPECT_EQ(store.size(), 0u);
   const std::string text = read_file(path);
   EXPECT_NE(text.find("metacore-journal"), std::string::npos);
   EXPECT_NE(text.find("metacore-evaluation-store"), std::string::npos);
   EXPECT_EQ(text.back(), '\n');
+  std::remove(path.c_str());
+}
+
+// Every store ever written must keep replaying and every new journal must
+// be readable by older builds, so the journal bytes are pinned end to end:
+// header line, frame lengths, CRCs and payloads, in append order.
+const std::string kPinnedHeader =
+    R"({"magic":"metacore-journal","version":1,"kind":"metacore-evaluation-store","kind_version":2})" "\n";
+const std::string kPinnedViterbiB =
+    R"(#000000af|10e6daff|{"fingerprint":"viterbi|b","record":{"indices":[2,0],"fidelity":1,"feasible":true,"confidence_weight":42,"failure_reason":"","metrics":{"cost":2.5,"odd":0.30000000000000004}}})" "\n";
+const std::string kPinnedIirA0 =
+    R"(#000000a8|4beed255|{"fingerprint":"iir|a","record":{"indices":[0],"fidelity":0,"feasible":true,"confidence_weight":42,"failure_reason":"","metrics":{"cost":-1,"odd":0.30000000000000004}}})" "\n";
+const std::string kPinnedIirA1 =
+    R"(#000000a9|0aaaba52|{"fingerprint":"iir|a","record":{"indices":[1],"fidelity":0,"feasible":true,"confidence_weight":42,"failure_reason":"","metrics":{"cost":0.5,"odd":0.30000000000000004}}})" "\n";
+const std::string kPinnedJournal =
+    kPinnedHeader + kPinnedViterbiB + kPinnedIirA0;
+
+TEST(EvaluationStore, JournalBytesFromAnEmptyStoreArePinned) {
+  const std::string path = temp_store_path("pinned_empty.journal");
+  {
+    EvaluationStore store(path);
+    store.record("viterbi|b", {2, 0}, 1, sample_eval(2.5));
+    store.record("iir|a", {0}, 0, sample_eval(-1.0));
+    // A repeat of a held key writes nothing.
+    store.record("viterbi|b", {2, 0}, 1, sample_eval(2.5));
+  }
+  EXPECT_EQ(read_file(path), kPinnedJournal);
+  std::remove(path.c_str());
+}
+
+TEST(EvaluationStore, JournalBytesAppendedToASeededStoreArePinned) {
+  const std::string path = temp_store_path("pinned_seeded.journal");
+  write_file(path, kPinnedJournal);
+  {
+    EvaluationStore store(path);
+    EXPECT_EQ(store.size(), 2u);
+    EXPECT_EQ(store.stats().compactions, 0u);
+    store.record("iir|a", {0}, 0, sample_eval(-1.0));  // held: no bytes
+    store.record("iir|a", {1}, 0, sample_eval(0.5));
+  }
+  EXPECT_EQ(read_file(path), kPinnedJournal + kPinnedIirA1);
+  // The compaction snapshot of the seeded store is pinned too: the same
+  // header and frames, rewritten in key order.
+  {
+    EvaluationStore store(path);
+    store.compact();
+  }
+  EXPECT_EQ(read_file(path),
+            kPinnedHeader + kPinnedIirA0 + kPinnedIirA1 + kPinnedViterbiB);
   std::remove(path.c_str());
 }
 
@@ -262,7 +298,7 @@ TEST(EvaluationStore, PackedRecordsRoundTripIirEvaluationsBitExactly) {
 
   std::string journal;
   {
-    EvaluationStore store(path, single_file());
+    EvaluationStore store(path);
     for (const Entry& e : entries) {
       store.record(e.fingerprint, e.indices, e.fidelity, e.eval);
     }
@@ -279,7 +315,7 @@ TEST(EvaluationStore, PackedRecordsRoundTripIirEvaluationsBitExactly) {
     journal = read_file(path);
   }
   {
-    EvaluationStore replayed(path, single_file());
+    EvaluationStore replayed(path);
     expect_all(replayed, "journal replay");
     replayed.compact();
     // The snapshot holds the same records in key order; it is a stable
@@ -289,7 +325,7 @@ TEST(EvaluationStore, PackedRecordsRoundTripIirEvaluationsBitExactly) {
     EXPECT_EQ(read_file(path), snapshot);
     EXPECT_EQ(snapshot.size(), journal.size());
   }
-  EvaluationStore compacted(path, single_file());
+  EvaluationStore compacted(path);
   EXPECT_EQ(compacted.stats().journal_records, entries.size());
   expect_all(compacted, "compaction snapshot");
   std::remove(path.c_str());
@@ -483,7 +519,7 @@ TEST(StorePayload, DirectParserTakesWhatTheWriterWrites) {
   const std::string path = temp_store_path("payload_direct.journal");
   const PayloadCorpus corpus = payload_corpus();
   {
-    EvaluationStore store(path, single_file());
+    EvaluationStore store(path);
     for (const auto& set : {corpus.direct, corpus.escaped}) {
       for (const auto& [fingerprint, rec] : set) {
         store.record(fingerprint, rec.indices, rec.fidelity, rec.eval);
@@ -503,7 +539,7 @@ TEST(StorePayload, DirectParserTakesWhatTheWriterWrites) {
         << label << ": " << payloads[i];
   }
   // The escaped records still load, through the JSON path.
-  EvaluationStore replayed(path, single_file());
+  EvaluationStore replayed(path);
   EXPECT_EQ(replayed.size(), payloads.size());
   EXPECT_EQ(replayed.stats().skipped_records, 0u);
   const auto& [fingerprint, pinned] = corpus.escaped.front();
@@ -629,7 +665,7 @@ TEST(StorePayload, ReformattedDuplicateIsNotDivergent) {
   search::Evaluation eval = sample_eval(2.5);
   eval.metrics["nan"] = std::numeric_limits<double>::quiet_NaN();
   {
-    EvaluationStore store(path, single_file());
+    EvaluationStore store(path);
     store.record("fp-a", {4, 2}, 1, eval);
   }
   const std::string header = read_file(path).substr(
@@ -654,7 +690,7 @@ TEST(StorePayload, ReformattedDuplicateIsNotDivergent) {
                                                               : reformatted) +
                          robust::frame_record(canonical_first ? reformatted
                                                               : canonical));
-    EvaluationStore store(path, single_file());
+    EvaluationStore store(path);
     const auto stats = store.stats();
     EXPECT_EQ(store.size(), 1u) << canonical_first;
     EXPECT_EQ(stats.journal_records, 2u) << canonical_first;
@@ -719,7 +755,7 @@ TEST(EvaluationStore, CountsDivergentDuplicates) {
 TEST(EvaluationStore, CompactsDuplicateJournalRecordsOnLoad) {
   const std::string path = temp_store_path("compact.jsonl");
   {
-    EvaluationStore store(path, single_file());
+    EvaluationStore store(path);
     store.record("fp", {7}, 0, sample_eval(1.0));
   }
   // Simulate a second writer-epoch having appended the same key (e.g. two
@@ -730,14 +766,14 @@ TEST(EvaluationStore, CompactsDuplicateJournalRecordsOnLoad) {
   const std::size_t first_nl = text.find('\n');
   append_raw(path, text.substr(first_nl + 1));
   {
-    EvaluationStore store(path, single_file());
+    EvaluationStore store(path);
     EXPECT_EQ(store.size(), 1u);
     EXPECT_EQ(store.stats().journal_records, 2u);
     EXPECT_EQ(store.stats().duplicate_records, 1u);
     EXPECT_EQ(store.stats().compactions, 1u);
   }
   // The rewrite is durable: a third open sees a clean compacted journal.
-  EvaluationStore clean(path, single_file());
+  EvaluationStore clean(path);
   EXPECT_EQ(clean.stats().journal_records, 1u);
   EXPECT_EQ(clean.stats().duplicate_records, 0u);
   EXPECT_EQ(clean.stats().compactions, 0u);
@@ -822,7 +858,7 @@ TEST(EvaluationStore, CrashDuringHeaderWriteStartsFresh) {
 TEST(EvaluationStore, SkipsTerminatedGarbageWithCountedReason) {
   const std::string path = temp_store_path("garbage.jsonl");
   {
-    EvaluationStore store(path, single_file());
+    EvaluationStore store(path);
     store.record("fp", {1}, 0, sample_eval(1.0));
   }
   // Newline-terminated damage cannot be a crashed append. With per-record
@@ -830,7 +866,7 @@ TEST(EvaluationStore, SkipsTerminatedGarbageWithCountedReason) {
   // descriptive reason instead of poisoning the whole journal.
   append_raw(path, "this is not a frame\n");
   {
-    EvaluationStore store(path, single_file());
+    EvaluationStore store(path);
     EXPECT_EQ(store.size(), 1u);
     const auto stats = store.stats();
     EXPECT_EQ(stats.skipped_records, 1u);
@@ -840,7 +876,7 @@ TEST(EvaluationStore, SkipsTerminatedGarbageWithCountedReason) {
     ASSERT_TRUE(store.lookup("fp", {1}, 0).has_value());
   }
   // Damage triggers a recovery rewrite: the next open is clean.
-  EvaluationStore clean(path, single_file());
+  EvaluationStore clean(path);
   EXPECT_EQ(clean.stats().skipped_records, 0u);
   std::remove(path.c_str());
 }
@@ -848,7 +884,7 @@ TEST(EvaluationStore, SkipsTerminatedGarbageWithCountedReason) {
 TEST(EvaluationStore, SkipsCorruptRecordMidFileAndKeepsTheRest) {
   const std::string path = temp_store_path("midfile.jsonl");
   {
-    EvaluationStore store(path, single_file());
+    EvaluationStore store(path);
     store.record("fp", {1}, 0, sample_eval(1.0));
     store.record("fp", {2}, 0, sample_eval(2.0));
   }
@@ -861,7 +897,7 @@ TEST(EvaluationStore, SkipsCorruptRecordMidFileAndKeepsTheRest) {
   text[payload_byte] ^= 0x20;
   write_file(path, text);
   {
-    EvaluationStore store(path, single_file());
+    EvaluationStore store(path);
     EXPECT_EQ(store.size(), 1u);
     EXPECT_FALSE(store.lookup("fp", {1}, 0).has_value());
     ASSERT_TRUE(store.lookup("fp", {2}, 0).has_value());
@@ -872,7 +908,7 @@ TEST(EvaluationStore, SkipsCorruptRecordMidFileAndKeepsTheRest) {
               std::string::npos)
         << stats.skip_reasons.front();
   }
-  EvaluationStore clean(path, single_file());
+  EvaluationStore clean(path);
   EXPECT_EQ(clean.stats().skipped_records, 0u);
   EXPECT_EQ(clean.size(), 1u);
   std::remove(path.c_str());
@@ -884,7 +920,7 @@ TEST(EvaluationStore, SkipsCorruptRecordMidFileAndKeepsTheRest) {
 TEST(EvaluationStore, SkipsChecksumCleanRecordsThatAreNotEvaluations) {
   const std::string path = temp_store_path("not_records.jsonl");
   {
-    EvaluationStore store(path, single_file());
+    EvaluationStore store(path);
     store.record("fp", {1}, 0, sample_eval(1.0));
     store.record("fp", {2}, 0, sample_eval(2.0));
   }
@@ -911,7 +947,7 @@ TEST(EvaluationStore, SkipsChecksumCleanRecordsThatAreNotEvaluations) {
   text.insert(second_frame, frames);
   write_file(path, text);
   {
-    EvaluationStore store(path, single_file());
+    EvaluationStore store(path);
     EXPECT_EQ(store.size(), 2u);
     ASSERT_TRUE(store.lookup("fp", {1}, 0).has_value());
     ASSERT_TRUE(store.lookup("fp", {2}, 0).has_value());
@@ -927,7 +963,7 @@ TEST(EvaluationStore, SkipsChecksumCleanRecordsThatAreNotEvaluations) {
       EXPECT_NE(reason.find(bad[i].second), std::string::npos) << reason;
     }
   }
-  EvaluationStore clean(path, single_file());
+  EvaluationStore clean(path);
   EXPECT_EQ(clean.stats().skipped_records, 0u);
   EXPECT_EQ(clean.size(), 2u);
   std::remove(path.c_str());
@@ -935,14 +971,14 @@ TEST(EvaluationStore, SkipsChecksumCleanRecordsThatAreNotEvaluations) {
 
 TEST(EvaluationStore, RejectsJournalFormatVersionMismatchDescriptively) {
   const std::string path = temp_store_path("version.jsonl");
-  { EvaluationStore store(path, single_file()); }
+  { EvaluationStore store(path); }
   std::string text = read_file(path);
   const auto pos = text.find("\"version\":1");
   ASSERT_NE(pos, std::string::npos);
   text.replace(pos, 11, "\"version\":9");
   write_file(path, text);
   try {
-    EvaluationStore store(path, single_file());
+    EvaluationStore store(path);
     FAIL() << "journal format version mismatch must be rejected";
   } catch (const std::runtime_error& e) {
     const std::string what = e.what();
@@ -954,7 +990,7 @@ TEST(EvaluationStore, RejectsJournalFormatVersionMismatchDescriptively) {
 
 TEST(EvaluationStore, RejectsStoreSchemaVersionMismatchDescriptively) {
   const std::string path = temp_store_path("kind_version.jsonl");
-  { EvaluationStore store(path, single_file()); }
+  { EvaluationStore store(path); }
   std::string text = read_file(path);
   const std::string needle = "\"kind_version\":" + std::to_string(kStoreVersion);
   const auto pos = text.find(needle);
@@ -962,7 +998,7 @@ TEST(EvaluationStore, RejectsStoreSchemaVersionMismatchDescriptively) {
   text.replace(pos, needle.size(), "\"kind_version\":9");
   write_file(path, text);
   try {
-    EvaluationStore store(path, single_file());
+    EvaluationStore store(path);
     FAIL() << "store schema version mismatch must be rejected";
   } catch (const std::runtime_error& e) {
     const std::string what = e.what();
@@ -980,11 +1016,11 @@ const std::string kV1Record =
     "\"fidelity\":1,\"feasible\":true,\"confidence_weight\":42,"
     "\"failure_reason\":\"\",\"metrics\":{\"cost\":1.25}}}\n";
 
-/// Opens `path` with `config`, expecting the "not a metacore evaluation
-/// store" rejection that names the path.
-void expect_not_a_store(const std::string& path, const StoreConfig& config) {
+/// Opens `path`, expecting the "not a metacore evaluation store"
+/// rejection that names the path.
+void expect_not_a_store(const std::string& path) {
   try {
-    EvaluationStore store(path, config);
+    EvaluationStore store(path);
     FAIL() << "foreign file must be rejected";
   } catch (const std::runtime_error& e) {
     const std::string what = e.what();
@@ -995,8 +1031,7 @@ void expect_not_a_store(const std::string& path, const StoreConfig& config) {
 }
 
 // A file that is not a framed store journal is refused at open and left
-// byte-for-byte as it was — whatever the shard count, since an open with
-// METACORE_STORE_SHARDS > 1 would otherwise migrate it.
+// byte-for-byte as it was.
 TEST(EvaluationStore, RejectsForeignFileDescriptively) {
   const std::vector<std::string> inputs = {
       "{\"magic\":\"something-else\",\"version\":1}\n",
@@ -1006,27 +1041,168 @@ TEST(EvaluationStore, RejectsForeignFileDescriptively) {
     SCOPED_TRACE(bytes);
     const std::string path = temp_store_path("foreign.jsonl");
     write_file(path, bytes);
-    expect_not_a_store(path, StoreConfig::from_env());
+    expect_not_a_store(path);
     EXPECT_EQ(read_file(path), bytes);
     std::remove(path.c_str());
   }
 }
 
-// The rejection comes before any layout decision: at every shard count a
-// v1 store is refused, keeps its bytes, and gets no shard directory.
-TEST(EvaluationStore, RejectsV1StoreAtEveryShardCount) {
+// The rejection comes before the store writes anything: a v1 store keeps
+// its bytes and gets no snapshot or directory beside it.
+TEST(EvaluationStore, RejectsV1StoreAndCreatesNothingBesideIt) {
   const std::string bytes = kV1Header + kV1Record;
-  for (const std::size_t shards : {1u, 2u, 4u}) {
-    SCOPED_TRACE(shards);
-    const std::string path = temp_store_path("v1_sharded.jsonl");
-    write_file(path, bytes);
-    StoreConfig config = StoreConfig::from_env();
-    config.shards = shards;
-    expect_not_a_store(path, config);
-    EXPECT_EQ(read_file(path), bytes);
-    EXPECT_FALSE(std::filesystem::exists(path + ".d"));
-    std::remove(path.c_str());
+  const std::string path = temp_store_path("v1_store.jsonl");
+  write_file(path, bytes);
+  expect_not_a_store(path);
+  EXPECT_EQ(read_file(path), bytes);
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  EXPECT_FALSE(std::filesystem::exists(path + ".d"));
+  std::remove(path.c_str());
+}
+
+// Older builds could spread a store over `path`.d/shard-NN.journal. Its
+// evaluations would be missing from a store opened beside it, so the open
+// is refused, naming the directory, and neither the directory nor a file
+// at `path` changes.
+TEST(EvaluationStore, RejectsAShardDirectoryAndLeavesItsBytes) {
+  namespace fs = std::filesystem;
+  const std::string path = temp_store_path("shard_dir.store");
+  const std::string dir = path + ".d";
+  fs::remove_all(dir);
+  { EvaluationStore single(path); }
+  const std::string single_bytes = read_file(path);
+  fs::create_directory(dir);
+  std::map<std::string, std::string> files;  // name -> bytes
+  for (int shard = 0; shard < 2; ++shard) {
+    const std::string journal = temp_store_path("shard_source.store");
+    {
+      EvaluationStore source(journal);
+      source.record("fp-" + std::to_string(shard), {shard}, 0,
+                    sample_eval(static_cast<double>(shard)));
+    }
+    const std::string name = "shard-0" + std::to_string(shard) + ".journal";
+    files[name] = read_file(journal);
+    write_file(dir + "/" + name, files[name]);
+    std::remove(journal.c_str());
   }
+
+  try {
+    EvaluationStore store(path);
+    ADD_FAILURE() << "a shard directory must be refused";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(dir), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(read_file(path), single_bytes);
+  std::map<std::string, std::string> after;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    after[entry.path().filename().string()] = read_file(entry.path().string());
+  }
+  EXPECT_EQ(after, files);
+  fs::remove_all(dir);
+  std::remove(path.c_str());
+}
+
+// The common leftover of an older sharded store is the directory alone:
+// migration into shards emptied or removed the file at `path`. The refused
+// open must not create that file, nor clear a snapshot .tmp beside it.
+TEST(EvaluationStore, RefusesAShardDirectoryWithoutCreatingTheJournal) {
+  namespace fs = std::filesystem;
+  const std::string path = temp_store_path("shard_dir_only.store");
+  const std::string dir = path + ".d";
+  const std::string tmp = path + ".tmp";
+  fs::remove_all(dir);
+  fs::create_directory(dir);
+  const std::string shard = dir + "/shard-00.journal";
+  {
+    EvaluationStore source(shard);
+    source.record("fp", {1}, 0, sample_eval(1.0));
+  }
+  const std::string shard_bytes = read_file(shard);
+  write_file(tmp, "snapshot residue");
+
+  try {
+    EvaluationStore store(path);
+    ADD_FAILURE() << "a shard directory must be refused";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(dir), std::string::npos) << e.what();
+  }
+  EXPECT_FALSE(fs::exists(path));
+  EXPECT_EQ(read_file(tmp), "snapshot residue");
+  EXPECT_EQ(read_file(shard), shard_bytes);
+  fs::remove_all(dir);
+  std::remove(tmp.c_str());
+}
+
+/// Sets an environment variable for one scope and restores the previous
+/// value (or its absence) after it, so a case behaves the same whether or
+/// not the suite runs under that variable.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) saved_ = old;
+    ::setenv(name, value, 1);
+  }
+  ~ScopedEnv() {
+    if (saved_) {
+      ::setenv(name_, saved_->c_str(), 1);
+    } else {
+      ::unsetenv(name_);
+    }
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  const char* name_;
+  std::optional<std::string> saved_;
+};
+
+// METACORE_STORE_SHARDS is retired: a deployment that still sets it gets
+// the one journal at `path`, with every record in it, and no directory.
+TEST(EvaluationStore, IgnoresTheRetiredShardsVariable) {
+  const ScopedEnv shards("METACORE_STORE_SHARDS", "4");
+  const std::string path = temp_store_path("retired_shards.store");
+  {
+    EvaluationStore store(path);
+    for (int i = 0; i < 8; ++i) {
+      store.record("fp-" + std::to_string(i), {i}, 0,
+                   sample_eval(static_cast<double>(i)));
+    }
+  }
+  EXPECT_FALSE(std::filesystem::exists(path + ".d"));
+  const std::string journal = read_file(path);
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_NE(journal.find("\"fp-" + std::to_string(i) + "\""),
+              std::string::npos)
+        << i;
+  }
+  EvaluationStore reopened(path);
+  EXPECT_EQ(reopened.size(), 8u);
+  std::remove(path.c_str());
+}
+
+// The store's only environment knob is METACORE_DURABILITY; the
+// compaction ratio is a config field, not an override.
+TEST(StoreConfig, FromEnvReadsOnlyTheDurability) {
+  const double default_ratio = StoreConfig{}.auto_compact_dead_ratio;
+  {
+    const ScopedEnv ratio("METACORE_STORE_COMPACT_RATIO", "0.9");
+    const ScopedEnv durability("METACORE_DURABILITY", "fsync-every-3");
+    const StoreConfig config = StoreConfig::from_env();
+    EXPECT_EQ(config.auto_compact_dead_ratio, default_ratio);
+    EXPECT_EQ(config.durability.policy, robust::DurabilityPolicy::FsyncEveryN);
+    EXPECT_EQ(config.durability.fsync_interval, 3u);
+  }
+  {
+    const ScopedEnv ratio("METACORE_STORE_COMPACT_RATIO", "not-a-number");
+    const ScopedEnv durability("METACORE_DURABILITY", "none");
+    StoreConfig config;
+    EXPECT_NO_THROW(config = StoreConfig::from_env());
+    EXPECT_EQ(config.auto_compact_dead_ratio, default_ratio);
+    EXPECT_EQ(config.durability.policy, robust::DurabilityPolicy::None);
+  }
+  const ScopedEnv durability("METACORE_DURABILITY", "fsync-sometimes");
+  EXPECT_THROW(StoreConfig::from_env(), std::invalid_argument);
 }
 
 // A damaged v1 file is not taken for a journal with a crashed tail: no
@@ -1041,7 +1217,7 @@ TEST(EvaluationStore, RejectsDamagedV1StoresWithoutTouchingThem) {
     SCOPED_TRACE(bytes);
     const std::string path = temp_store_path("v1_damaged.jsonl");
     write_file(path, bytes);
-    expect_not_a_store(path, single_file());
+    expect_not_a_store(path);
     EXPECT_EQ(read_file(path), bytes);
     std::remove(path.c_str());
   }
@@ -1078,203 +1254,9 @@ TEST(EvaluationStore, ConcurrentReadersAndWriterAreSafe) {
   std::remove(path.c_str());
 }
 
-// --- Sharded layout: fingerprint-prefix sharding, migration, isolation.
-
-StoreConfig sharded(std::size_t shards) {
-  StoreConfig config;
-  config.shards = shards;
-  return config;
-}
-
-TEST(ShardedStore, RoutingHashIsStableAndInRange) {
-  // The routing hash is a pure function of the bytes: the same fingerprint
-  // must route identically across runs, builds, and store instances.
-  EXPECT_EQ(fingerprint_hash("viterbi|x"), fingerprint_hash("viterbi|x"));
-  EXPECT_NE(fingerprint_hash("viterbi|x"), fingerprint_hash("viterbi|y"));
-  EXPECT_EQ(shard_index("anything", 1), 0u);
-  for (const char* fp : {"a", "b", "viterbi|ber=1e-4", "iir|t=1.0"}) {
-    EXPECT_LT(shard_index(fp, 4), 4u);
-    EXPECT_EQ(shard_index(fp, 4), shard_index(fp, 4));
-  }
-}
-
-TEST(ShardedStore, RoundTripsAcrossShardsWithPerShardJournals) {
-  const std::string path = temp_store_path("sharded.store");
-  constexpr std::size_t kShards = 4;
-  {
-    EvaluationStore store(path, sharded(kShards));
-    EXPECT_EQ(store.shard_count(), kShards);
-    for (int i = 0; i < 16; ++i) {
-      store.record("fp-" + std::to_string(i), {i}, 0,
-                   sample_eval(static_cast<double>(i)));
-    }
-    EXPECT_EQ(store.size(), 16u);
-    // Every entry landed in the shard its fingerprint hashes to.
-    for (int i = 0; i < 16; ++i) {
-      const std::string fp = "fp-" + std::to_string(i);
-      const std::string text =
-          read_file(store.shard_path(shard_index(fp, kShards)));
-      EXPECT_NE(text.find("\"" + fp + "\""), std::string::npos) << fp;
-    }
-    const StoreStats stats = store.stats();
-    EXPECT_EQ(stats.shards, kShards);
-    EXPECT_FALSE(stats.migrated_layout);
-    ASSERT_EQ(stats.shard_entries.size(), kShards);
-    std::size_t total = 0;
-    for (const std::size_t n : stats.shard_entries) total += n;
-    EXPECT_EQ(total, 16u);
-  }
-  // Reopen at the same shard count: an in-place per-shard load, no
-  // migration, nothing lost.
-  EvaluationStore reopened(path, sharded(kShards));
-  EXPECT_FALSE(reopened.stats().migrated_layout);
-  EXPECT_EQ(reopened.size(), 16u);
-  for (int i = 0; i < 16; ++i) {
-    const auto hit = reopened.lookup("fp-" + std::to_string(i), {i}, 0);
-    ASSERT_TRUE(hit.has_value()) << i;
-    EXPECT_EQ(hit->metric("cost"), static_cast<double>(i));
-  }
-  for (std::size_t s = 0; s < kShards; ++s) {
-    std::remove(reopened.shard_path(s).c_str());
-  }
-}
-
-TEST(ShardedStore, MigratesSingleFileToShardsAndBack) {
-  const std::string path = temp_store_path("migrate.store");
-  {
-    EvaluationStore store(path, sharded(1));  // historical single-file layout
-    for (int i = 0; i < 12; ++i) {
-      store.record("fp-" + std::to_string(i), {i}, 0,
-                   sample_eval(static_cast<double>(i)));
-    }
-  }
-  {
-    // Single file -> 4 shards: transparent merge + rewrite.
-    EvaluationStore store(path, sharded(4));
-    EXPECT_TRUE(store.stats().migrated_layout);
-    EXPECT_EQ(store.size(), 12u);
-    for (int i = 0; i < 12; ++i) {
-      ASSERT_TRUE(store.lookup("fp-" + std::to_string(i), {i}, 0).has_value());
-    }
-    // The stale single file is gone; appends keep working per shard.
-    EXPECT_TRUE(read_file(path).empty());
-    store.record("fp-new", {99}, 0, sample_eval(99.0));
-  }
-  {
-    // 4 shards -> single file: the reverse migration, byte-compatible v2.
-    EvaluationStore store(path, sharded(1));
-    EXPECT_TRUE(store.stats().migrated_layout);
-    EXPECT_EQ(store.size(), 13u);
-    ASSERT_TRUE(store.lookup("fp-new", {99}, 0).has_value());
-  }
-  // After migrating back, a single-file open sees a clean store with no
-  // further migration to do.
-  EvaluationStore plain(path, sharded(1));
-  EXPECT_FALSE(plain.stats().migrated_layout);
-  EXPECT_EQ(plain.size(), 13u);
-  std::remove(path.c_str());
-}
-
-TEST(ShardedStore, ReshardMergesEveryShard) {
-  const std::string path = temp_store_path("reshard.store");
-  {
-    EvaluationStore store(path, sharded(4));
-    for (int i = 0; i < 20; ++i) {
-      store.record("fp-" + std::to_string(i), {i}, 0,
-                   sample_eval(static_cast<double>(i)));
-    }
-  }
-  // 4 -> 2: shard files with index >= 2 are merged in and removed.
-  EvaluationStore store(path, sharded(2));
-  EXPECT_TRUE(store.stats().migrated_layout);
-  EXPECT_EQ(store.size(), 20u);
-  for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE(store.lookup("fp-" + std::to_string(i), {i}, 0).has_value());
-  }
-  EXPECT_EQ(read_file(path + ".d/shard-02.journal"), "");
-  EXPECT_EQ(read_file(path + ".d/shard-03.journal"), "");
-  std::remove(store.shard_path(0).c_str());
-  std::remove(store.shard_path(1).c_str());
-}
-
-TEST(ShardedStore, TornShardTailRecoversWhileOthersServe) {
-  const std::string path = temp_store_path("torn_shard.store");
-  constexpr std::size_t kShards = 4;
-  {
-    EvaluationStore store(path, sharded(kShards));
-    for (int i = 0; i < 16; ++i) {
-      store.record("fp-" + std::to_string(i), {i}, 0,
-                   sample_eval(static_cast<double>(i)));
-    }
-  }
-  // Crash-matrix one shard: truncate its journal at EVERY byte boundary of
-  // the final frame (each prefix is a possible post-crash state) and
-  // verify the open recovers the shard and the other shards serve
-  // everything they hold, untouched.
-  EvaluationStore probe(path, sharded(kShards));
-  const std::string victim = probe.shard_path(0);
-  const std::string full = read_file(victim);
-  const std::size_t last_frame = full.rfind("\n#") + 1;
-  ASSERT_GT(last_frame, 0u);
-  for (std::size_t cut = last_frame + 1; cut < full.size(); ++cut) {
-    write_file(victim, full.substr(0, cut));
-    EvaluationStore store(path, sharded(kShards));
-    EXPECT_EQ(store.stats().quarantined_shards, 0u) << "cut=" << cut;
-    // Every fingerprint outside the victim shard must still be served.
-    std::size_t outside = 0;
-    for (int i = 0; i < 16; ++i) {
-      const std::string fp = "fp-" + std::to_string(i);
-      if (shard_index(fp, kShards) == 0) continue;
-      ++outside;
-      EXPECT_TRUE(store.lookup(fp, {i}, 0).has_value())
-          << fp << " cut=" << cut;
-    }
-    ASSERT_GT(outside, 0u);
-  }
-  for (std::size_t s = 0; s < kShards; ++s) {
-    std::remove(probe.shard_path(s).c_str());
-  }
-}
-
-TEST(ShardedStore, QuarantinesHeaderCorruptShardAndServesTheRest) {
-  const std::string path = temp_store_path("quarantine.store");
-  constexpr std::size_t kShards = 4;
-  std::string victim;
-  {
-    EvaluationStore store(path, sharded(kShards));
-    for (int i = 0; i < 16; ++i) {
-      store.record("fp-" + std::to_string(i), {i}, 0,
-                   sample_eval(static_cast<double>(i)));
-    }
-    victim = store.shard_path(2);
-  }
-  // Header-level corruption would reject a single-file store; a sharded
-  // store quarantines just the bad shard and keeps serving the others.
-  write_file(victim, "{\"magic\":\"something-else\",\"version\":1}\n");
-  EvaluationStore store(path, sharded(kShards));
-  const StoreStats stats = store.stats();
-  EXPECT_EQ(stats.quarantined_shards, 1u);
-  EXPECT_FALSE(read_file(victim + ".rejected").empty());
-  std::size_t served = 0;
-  for (int i = 0; i < 16; ++i) {
-    const std::string fp = "fp-" + std::to_string(i);
-    if (shard_index(fp, kShards) == 2) continue;
-    ++served;
-    EXPECT_TRUE(store.lookup(fp, {i}, 0).has_value()) << fp;
-  }
-  ASSERT_GT(served, 0u);
-  // The quarantined shard restarted empty and accepts new work.
-  store.record("replacement", {1}, 0, sample_eval(5.0));
-  EXPECT_TRUE(store.lookup("replacement", {1}, 0).has_value());
-  for (std::size_t s = 0; s < kShards; ++s) {
-    std::remove(store.shard_path(s).c_str());
-  }
-  std::remove((victim + ".rejected").c_str());
-}
-
-TEST(ShardedStore, ConcurrentWritersOnDistinctShardsStayConsistent) {
-  const std::string path = temp_store_path("shard_concurrent.store");
-  EvaluationStore store(path, sharded(4));
+TEST(EvaluationStore, ConcurrentWritersStayConsistent) {
+  const std::string path = temp_store_path("concurrent_writers.store");
+  EvaluationStore store(path);
   constexpr int kPerThread = 64;
   std::vector<std::thread> writers;
   for (int t = 0; t < 4; ++t) {
@@ -1282,62 +1264,61 @@ TEST(ShardedStore, ConcurrentWritersOnDistinctShardsStayConsistent) {
       for (int i = 0; i < kPerThread; ++i) {
         store.record("fp-" + std::to_string(t), {i}, 0,
                      sample_eval(static_cast<double>(i)));
+        // Every writer also races the others on one shared scope, whose
+        // duplicates are bit-identical: first write wins, none diverge.
+        store.record("fp-shared", {i}, 0, sample_eval(static_cast<double>(i)));
       }
     });
   }
   for (auto& t : writers) t.join();
-  EXPECT_EQ(store.size(), 4u * kPerThread);
+  EXPECT_EQ(store.size(), 5u * kPerThread);
   EXPECT_EQ(store.divergent_duplicates(), 0u);
+  EXPECT_EQ(store.stats().appends, 5u * kPerThread);
   // The contention counter is wired through stats (its value depends on
   // scheduling; correctness above is the hard assertion).
   (void)store.stats().lock_contention;
-  EvaluationStore reopened(path, sharded(4));
-  EXPECT_EQ(reopened.size(), 4u * kPerThread);
-  for (std::size_t s = 0; s < 4; ++s) {
-    std::remove(store.shard_path(s).c_str());
-  }
-}
-
-TEST(ShardedStore, PerShardCompactionReclaimsOnlyTheBloatedShard) {
-  const std::string path = temp_store_path("shard_compact.store");
-  StoreConfig config = sharded(2);
-  config.auto_compact_dead_ratio = 0.0;  // manual compaction only
-  {
-    EvaluationStore store(path, config);
-    store.record("fp-a", {1}, 0, sample_eval(1.0));
-    store.record("fp-b", {1}, 0, sample_eval(2.0));
-    // Bloat exactly one shard with duplicate frames.
-    const std::string bloated = store.shard_path(shard_index("fp-a", 2));
-    const std::string text = read_file(bloated);
-    const std::string frames = text.substr(text.find('\n') + 1);
-    ASSERT_FALSE(frames.empty());
-  }
-  EvaluationStore store(path, config);
-  const std::string bloated = store.shard_path(shard_index("fp-a", 2));
-  const std::string text = read_file(bloated);
-  append_raw(bloated, text.substr(text.find('\n') + 1));
-  const std::size_t reclaimed = store.compact();
-  EXPECT_GT(reclaimed, 0u);
-  EXPECT_EQ(store.stats().compactions, 2u);  // one per shard
-  EvaluationStore reopened(path, config);
-  EXPECT_EQ(reopened.size(), 2u);
+  EvaluationStore reopened(path);
+  EXPECT_EQ(reopened.size(), 5u * kPerThread);
   EXPECT_EQ(reopened.stats().duplicate_records, 0u);
-  for (std::size_t s = 0; s < 2; ++s) {
-    std::remove(store.shard_path(s).c_str());
-  }
+  std::remove(path.c_str());
 }
 
-TEST(ShardedStore, FromEnvParsesShardCount) {
-  ::setenv("METACORE_STORE_SHARDS", "4", 1);
-  EXPECT_EQ(StoreConfig::from_env().shards, 4u);
-  ::setenv("METACORE_STORE_SHARDS", "0", 1);
-  EXPECT_THROW(StoreConfig::from_env(), std::invalid_argument);
-  ::setenv("METACORE_STORE_SHARDS", "abc", 1);
-  EXPECT_THROW(StoreConfig::from_env(), std::invalid_argument);
-  ::setenv("METACORE_STORE_SHARDS", "400", 1);
-  EXPECT_THROW(StoreConfig::from_env(), std::invalid_argument);
-  ::unsetenv("METACORE_STORE_SHARDS");
-  EXPECT_EQ(StoreConfig::from_env().shards, 1u);
+// generation() is one counter for the whole store: a new key under any
+// scope and every compaction advance it; lookups and repeats of a held
+// key, divergent or not, leave it still. A clean reopen starts at zero.
+TEST(EvaluationStore, GenerationCountsNewKeysAndCompactionsStoreWide) {
+  const std::string path = temp_store_path("generation.store");
+  {
+    EvaluationStore store(path);
+    EXPECT_EQ(store.generation(), 0u);
+    store.record("fp-a", {1}, 0, sample_eval(1.0));
+    EXPECT_EQ(store.generation(), 1u);
+    store.record("fp-a", {1}, 0, sample_eval(1.0));
+    store.record("fp-a", {1}, 0, sample_eval(9.0));  // divergent repeat
+    EXPECT_EQ(store.divergent_duplicates(), 1u);
+    EXPECT_EQ(store.generation(), 1u);
+    store.record("fp-b", {1}, 0, sample_eval(2.0));  // another scope
+    EXPECT_EQ(store.generation(), 2u);
+    ASSERT_TRUE(store.lookup("fp-b", {1}, 0).has_value());
+    EXPECT_FALSE(store.lookup("fp-c", {1}, 0).has_value());
+    EXPECT_EQ(store.generation(), 2u);
+    store.compact();
+    EXPECT_EQ(store.generation(), 3u);
+  }
+  EvaluationStore reopened(path);
+  EXPECT_EQ(reopened.stats().compactions, 0u);
+  EXPECT_EQ(reopened.generation(), 0u);
+  std::remove(path.c_str());
+}
+
+// The server routes a query to dispatch worker fingerprint_hash(fp) % W,
+// so the hash must be a pure function of the bytes: the same fingerprint
+// routes identically across runs, builds, and hosts.
+TEST(RoutingHash, IsStableFnv1a) {
+  EXPECT_EQ(fingerprint_hash(""), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(fingerprint_hash("a"), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(fingerprint_hash("viterbi|x"), fingerprint_hash("viterbi|x"));
+  EXPECT_NE(fingerprint_hash("viterbi|x"), fingerprint_hash("viterbi|y"));
 }
 
 // --- Search integration: the contract the design-query service relies on.
