@@ -1,5 +1,6 @@
 #include "robust/json.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
@@ -217,50 +218,69 @@ std::size_t require_count(const JsonValue& obj, const std::string& key,
   return static_cast<std::size_t>(n);
 }
 
+namespace {
+
+/// Formats `v` as write_double/append_double spell it; returns the end.
+char* format_double(char (&buf)[32], double v) {
+  if (std::isnan(v)) return std::copy_n("nan", 3, buf);
+  if (std::isinf(v)) {
+    return v > 0 ? std::copy_n("inf", 3, buf) : std::copy_n("-inf", 4, buf);
+  }
+  // Specified to produce exactly printf's "%.17g", without the format
+  // parsing and locale machinery.
+  return std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general,
+                       17)
+      .ptr;
+}
+
+}  // namespace
+
 void write_escaped(std::ostream& os, const std::string& s) {
-  // Runs of bytes that need no escape go out in one write each.
+  thread_local std::string buf;
+  buf.clear();
+  append_escaped(buf, s);
+  os.write(buf.data(), static_cast<std::streamsize>(buf.size()));
+}
+
+void write_double(std::ostream& os, double v) {
+  char buf[32];
+  os.write(buf, format_double(buf, v) - buf);
+}
+
+void append_escaped(std::string& out, std::string_view s) {
+  // Runs of bytes that need no escape go out in one append each.
   const char* run = s.data();
   const char* const end = s.data() + s.size();
   const auto flush_until = [&](const char* p) {  // p: the byte to escape
-    if (p != run) os.write(run, p - run);
+    out.append(run, p);
     run = p + 1;
   };
-  os.put('"');
+  out += '"';
   for (const char* p = run; p != end; ++p) {
     const char c = *p;
     switch (c) {
-      case '"': flush_until(p); os.write("\\\"", 2); break;
-      case '\\': flush_until(p); os.write("\\\\", 2); break;
-      case '\n': flush_until(p); os.write("\\n", 2); break;
-      case '\r': flush_until(p); os.write("\\r", 2); break;
-      case '\t': flush_until(p); os.write("\\t", 2); break;
+      case '"': flush_until(p); out.append("\\\"", 2); break;
+      case '\\': flush_until(p); out.append("\\\\", 2); break;
+      case '\n': flush_until(p); out.append("\\n", 2); break;
+      case '\r': flush_until(p); out.append("\\r", 2); break;
+      case '\t': flush_until(p); out.append("\\t", 2); break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
           flush_until(p);
           static constexpr char kHex[] = "0123456789abcdef";
           const char esc[6] = {'\\', 'u', '0', '0', kHex[(c >> 4) & 0xF],
                                kHex[c & 0xF]};
-          os.write(esc, sizeof(esc));
+          out.append(esc, sizeof(esc));
         }
     }
   }
-  if (end != run) os.write(run, end - run);
-  os.put('"');
+  out.append(run, end);
+  out += '"';
 }
 
-void write_double(std::ostream& os, double v) {
-  if (std::isnan(v)) {
-    os << "nan";
-  } else if (std::isinf(v)) {
-    os << (v > 0 ? "inf" : "-inf");
-  } else {
-    // Specified to produce exactly printf's "%.17g", without the format
-    // parsing and locale machinery.
-    char buf[32];
-    const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v,
-                                         std::chars_format::general, 17);
-    os.write(buf, end - buf);
-  }
+void append_double(std::string& out, double v) {
+  char buf[32];
+  out.append(buf, format_double(buf, v));
 }
 
 void append_g17(std::string& out, double v) {

@@ -3,11 +3,14 @@
 // in net/): a recursive-descent reader covering objects, arrays, strings,
 // booleans, and numbers — including the bare non-finite tokens inf/-inf/nan,
 // a deliberate, documented superset of JSON our own writers emit — plus the
-// matching write helpers (escaped strings, round-trip doubles).
+// matching write helpers (escaped strings, round-trip doubles), as
+// appenders to a std::string and as ostream writers.
 #pragma once
 
+#include <charconv>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -45,12 +48,24 @@ const JsonValue& require(const JsonValue& obj, const std::string& key,
 std::size_t require_count(const JsonValue& obj, const std::string& key,
                           const std::string& what);
 
-/// Writes `s` as a JSON string literal, escaping quotes, backslashes, and
-/// control characters.
-void write_escaped(std::ostream& os, const std::string& s);
+/// Appends `s` as a JSON string literal, escaping quotes, backslashes, and
+/// control characters (other bytes, high bytes included, pass through).
+void append_escaped(std::string& out, std::string_view s);
 
-/// Writes a double with round-trip (%.17g) precision; non-finite values
-/// use the bare tokens inf/-inf/nan that parse_json reads back.
+/// Appends a double with round-trip (%.17g) precision; non-finite values
+/// use the bare tokens inf/-inf/nan that parse_json reads back (every NaN
+/// is "nan", whatever its sign or payload).
+void append_double(std::string& out, double v);
+
+/// Appends an integer in decimal, as an ostream writes it.
+template <class Int>
+void append_int(std::string& out, Int v) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+}
+
+/// append_escaped and append_double for ostream writers.
+void write_escaped(std::ostream& os, const std::string& s);
 void write_double(std::ostream& os, double v);
 
 /// Appends `v` exactly as printf's "%.17g" (and an ostream at precision

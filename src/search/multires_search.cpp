@@ -149,17 +149,23 @@ void MultiresolutionSearch::absorb_evaluation(const std::vector<int>& indices,
                                               int fidelity, Evaluation eval,
                                               SearchResult& result) {
   ++result.evaluations;
+  const auto entry = cache_.try_emplace(indices).first;
   if (has_probabilistic_ && eval.has_metric(config_.probabilistic_metric)) {
-    ber_predictor_.add(space_.normalized(indices),
-                       eval.metric(config_.probabilistic_metric),
-                       std::max(1.0, eval.confidence_weight));
+    // Checked on arrival, so bad evidence stops the search here whether or
+    // not a later level ever reads it.
+    const double ber = eval.metric(config_.probabilistic_metric);
+    const double trials = std::max(1.0, eval.confidence_weight);
+    BerPredictor::check_evidence(ber, trials);
+    pending_evidence_.push_back({&entry->first, ber, trials});
   }
-  if (!objective_.minimize.empty() && eval.feasible &&
-      eval.has_metric(objective_.minimize)) {
-    objective_estimator_.add(space_.normalized(indices),
-                             eval.metric(objective_.minimize));
+  entry->second.emplace(fidelity, std::move(eval));
+}
+
+void MultiresolutionSearch::flush_evidence() {
+  for (const PendingEvidence& e : pending_evidence_) {
+    ber_predictor_.add(space_.normalized(*e.indices), e.ber, e.trials);
   }
-  cache_[indices].emplace(fidelity, std::move(eval));
+  pending_evidence_.clear();
 }
 
 MultiresolutionSearch::Region MultiresolutionSearch::region_around(
@@ -266,28 +272,33 @@ void MultiresolutionSearch::search_region(const Region& region, int resolution,
                       result);
   }
 
-  // Phase 4: score the admitted points in grid order, exactly as the serial
-  // loop did.
-  struct Scored {
-    std::vector<int> indices;
-    const Evaluation* eval;
-    double score;
-  };
-  std::vector<Scored> scored;
+  // Phase 4: track the global best over the admitted points in grid order,
+  // exactly as the serial loop did. Scoring only chooses the regions to
+  // refine, so the last level stops here.
   for (const std::size_t i : admitted) {
     const std::vector<int>& indices = grid[i];
     const Evaluation& eval = *cached_evaluation(indices, resolution);
-    // Track the global best.
     const RankKey key = objective_.rank_key(eval);
     if (result.best.indices.empty() || Objective::better(key, best_key_)) {
       result.best = {indices, space_.values_at(indices), eval, resolution};
       result.found_feasible = key.feasible;
       best_key_ = key;
     }
-    if (!eval.feasible) continue;
+  }
+  if (resolution >= config_.max_resolution) return;
 
-    // Score for refinement: objective metric deflated by the probability
-    // of meeting the probabilistic constraint near this point.
+  // Score for refinement: objective metric deflated by the probability of
+  // meeting the probabilistic constraint near the point.
+  if (has_probabilistic_) flush_evidence();
+  struct Scored {
+    const std::vector<int>* indices;
+    double score;
+  };
+  std::vector<Scored> scored;
+  for (const std::size_t i : admitted) {
+    const std::vector<int>& indices = grid[i];
+    const Evaluation& eval = *cached_evaluation(indices, resolution);
+    if (!eval.feasible) continue;
     double prob = 1.0;
     if (has_probabilistic_) {
       prob = ber_predictor_.probability_below(space_.normalized(indices),
@@ -309,10 +320,9 @@ void MultiresolutionSearch::search_region(const Region& region, int resolution,
       }
     }
     if (!deterministic_ok) continue;
-    scored.push_back({indices, &eval, metric / std::max(prob, 1e-6)});
+    scored.push_back({&indices, metric / std::max(prob, 1e-6)});
   }
 
-  if (resolution >= config_.max_resolution) return;
   if (scored.empty()) return;
 
   std::sort(scored.begin(), scored.end(),
@@ -322,7 +332,7 @@ void MultiresolutionSearch::search_region(const Region& region, int resolution,
   std::vector<Region> chosen;
   for (const auto& s : scored) {
     if (refined >= config_.regions_per_level) break;
-    Region sub = region_around(s.indices, grid, region);
+    Region sub = region_around(*s.indices, grid, region);
     // Skip regions identical to an already-chosen one.
     bool duplicate = false;
     for (const auto& c : chosen) {

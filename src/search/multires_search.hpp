@@ -136,9 +136,12 @@ class MultiresolutionSearch {
   /// Best cached evaluation at fidelity >= `fidelity`, or nullptr.
   const Evaluation* cached_evaluation(const std::vector<int>& indices,
                                       int fidelity) const;
-  /// Records a fresh evaluation: cache insert, predictor evidence, counter.
+  /// Records a fresh evaluation: cache insert, pending predictor evidence,
+  /// counter.
   void absorb_evaluation(const std::vector<int>& indices, int fidelity,
                          Evaluation eval, SearchResult& result);
+  /// Hands the pending evidence to the BER predictor in absorb order.
+  void flush_evidence();
   void search_region(const Region& region, int resolution,
                      SearchResult& result);
   Region region_around(const std::vector<int>& center,
@@ -156,20 +159,19 @@ class MultiresolutionSearch {
   /// Rank of the running SearchResult::best under objective_.
   RankKey best_key_;
   BerPredictor ber_predictor_;
-  /// Interpolator over the (smooth) objective metric, maintained for
-  /// callers that want post-hoc surface estimates (the paper's smooth-
-  /// metric interpolation); predictive *reordering* of grid evaluations was
-  /// measured to perturb refinement trajectories on noisy landscapes for
-  /// no quality gain, so the search itself only accumulates it.
-  SmoothEstimator objective_estimator_;
+  /// BER evidence absorbed since the last scoring pass. Only refinement
+  /// scoring reads the predictor, so evidence waits here and is added, in
+  /// absorb order, right before a level scores; a search whose remaining
+  /// levels never score (the last level, or max_resolution 0) pays nothing
+  /// for it. `indices` points at the cache key, which std::map keeps stable.
+  struct PendingEvidence {
+    const std::vector<int>* indices;
+    double ber;
+    double trials;
+  };
+  std::vector<PendingEvidence> pending_evidence_;
   double probabilistic_bound_ = 0.0;
   bool has_probabilistic_ = false;
-
- public:
-  /// Read access to the accumulated objective-surface interpolator.
-  const SmoothEstimator& objective_estimator() const {
-    return objective_estimator_;
-  }
 };
 
 /// Exhaustive full-factorial baseline at a fixed fidelity — the comparison

@@ -64,6 +64,13 @@ double SmoothEstimator::predict(std::span<const double> coords) const {
 
 void BerPredictor::add(std::vector<double> coords, double ber, double trials) {
   check_finite_coords("BerPredictor::add", coords);
+  check_evidence(ber, trials);
+  coords_.push_back(std::move(coords));
+  log_ber_.push_back(std::log10(std::clamp(ber, 1e-12, 1.0)));
+  log1p_evidence_.push_back(std::log1p(trials));
+}
+
+void BerPredictor::check_evidence(double ber, double trials) {
   if (!std::isfinite(ber)) {
     throw std::invalid_argument("BerPredictor::add: non-finite BER");
   }
@@ -73,9 +80,6 @@ void BerPredictor::add(std::vector<double> coords, double ber, double trials) {
   if (!std::isfinite(trials)) {
     throw std::invalid_argument("BerPredictor::add: non-finite evidence");
   }
-  coords_.push_back(std::move(coords));
-  log_ber_.push_back(std::log10(std::clamp(ber, 1e-12, 1.0)));
-  log1p_evidence_.push_back(std::log1p(trials));
 }
 
 BerPredictor::Prediction BerPredictor::predict(

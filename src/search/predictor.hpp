@@ -39,6 +39,12 @@ class BerPredictor {
   /// backing the estimate.
   void add(std::vector<double> coords, double ber, double trials);
 
+  /// The checks add() applies to `ber` and `trials`, with its messages:
+  /// throws std::invalid_argument on a non-finite value or non-positive
+  /// evidence. Lets a caller that defers add() still reject bad evidence
+  /// when it arrives.
+  static void check_evidence(double ber, double trials);
+
   struct Prediction {
     double log10_mean = 0.0;
     double log10_sigma = 1.0;

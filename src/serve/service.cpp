@@ -100,15 +100,20 @@ std::size_t cache_capacity_from_env(std::size_t configured) {
   return static_cast<std::size_t>(value);
 }
 
-void write_point(std::ostream& os, const search::EvaluatedPoint& pt) {
-  os << "{\"values\":[";
+void write_point(std::string& out, const search::EvaluatedPoint& pt) {
+  out += "{\"values\":[";
   for (std::size_t i = 0; i < pt.values.size(); ++i) {
-    if (i > 0) os << ',';
-    robust::write_double(os, pt.values[i]);
+    if (i > 0) out += ',';
+    robust::append_double(out, pt.values[i]);
   }
-  os << "],\"record\":";
-  write_eval_record(os, EvalRecord{pt.indices, pt.fidelity, pt.eval});
-  os << '}';
+  out += "],\"record\":";
+  write_eval_record(out, pt.indices, pt.fidelity, pt.eval);
+  out += '}';
+}
+
+std::size_t point_size_hint(const search::EvaluatedPoint& pt) {
+  return 24 + 24 * pt.values.size() +
+         eval_record_size_hint(pt.indices, pt.eval);
 }
 
 }  // namespace
@@ -128,38 +133,47 @@ std::string query_fingerprint(const DesignQuery& query) {
 }
 
 std::string to_json(const DesignQuery& query) {
-  std::ostringstream os;
-  os << "{\"kind\":\"" << to_string(query.kind) << "\",\"target_ber\":";
-  robust::write_double(os, query.target_ber);
-  os << ",\"esn0_db\":";
-  robust::write_double(os, query.esn0_db);
-  os << ",\"throughput_mbps\":";
-  robust::write_double(os, query.throughput_mbps);
-  os << ",\"ber_shards\":" << query.ber_shards
-     << ",\"ber_lanes\":" << query.ber_lanes << ",\"sample_period_us\":";
-  robust::write_double(os, query.sample_period_us);
-  os << ",\"budget\":{\"initial_points_per_dim\":"
-     << query.budget.initial_points_per_dim
-     << ",\"max_resolution\":" << query.budget.max_resolution
-     << ",\"regions_per_level\":" << query.budget.regions_per_level
-     << ",\"max_evaluations\":" << query.budget.max_evaluations
-     << "},\"minimize\":";
-  robust::write_escaped(os, query.minimize);
-  os << ",\"constraints\":[";
+  std::string out;
+  out.reserve(320 + query.minimize.size() + 64 * query.constraints.size());
+  out += query.kind == QueryKind::Viterbi ? "{\"kind\":\"viterbi\""
+                                          : "{\"kind\":\"iir\"";
+  out += ",\"target_ber\":";
+  robust::append_double(out, query.target_ber);
+  out += ",\"esn0_db\":";
+  robust::append_double(out, query.esn0_db);
+  out += ",\"throughput_mbps\":";
+  robust::append_double(out, query.throughput_mbps);
+  out += ",\"ber_shards\":";
+  robust::append_int(out, query.ber_shards);
+  out += ",\"ber_lanes\":";
+  robust::append_int(out, query.ber_lanes);
+  out += ",\"sample_period_us\":";
+  robust::append_double(out, query.sample_period_us);
+  out += ",\"budget\":{\"initial_points_per_dim\":";
+  robust::append_int(out, query.budget.initial_points_per_dim);
+  out += ",\"max_resolution\":";
+  robust::append_int(out, query.budget.max_resolution);
+  out += ",\"regions_per_level\":";
+  robust::append_int(out, query.budget.regions_per_level);
+  out += ",\"max_evaluations\":";
+  robust::append_int(out, query.budget.max_evaluations);
+  out += "},\"minimize\":";
+  robust::append_escaped(out, query.minimize);
+  out += ",\"constraints\":[";
   for (std::size_t i = 0; i < query.constraints.size(); ++i) {
     const search::Constraint& c = query.constraints[i];
-    if (i > 0) os << ',';
-    os << "{\"kind\":\""
-       << (c.kind == search::Constraint::Kind::UpperBound ? "upper" : "lower")
-       << "\",\"metric\":";
-    robust::write_escaped(os, c.metric);
-    os << ",\"bound\":";
-    robust::write_double(os, c.bound);
-    os << '}';
+    if (i > 0) out += ',';
+    out += c.kind == search::Constraint::Kind::UpperBound
+               ? "{\"kind\":\"upper\",\"metric\":"
+               : "{\"kind\":\"lower\",\"metric\":";
+    robust::append_escaped(out, c.metric);
+    out += ",\"bound\":";
+    robust::append_double(out, c.bound);
+    out += '}';
   }
-  os << "],\"archive_only\":" << (query.archive_only ? "true" : "false")
-     << '}';
-  return os.str();
+  out += query.archive_only ? "],\"archive_only\":true}"
+                            : "],\"archive_only\":false}";
+  return out;
 }
 
 DesignQuery parse_design_query(const std::string& json) {
@@ -241,35 +255,49 @@ DesignQuery parse_design_query(const JsonValue& doc) {
 }
 
 std::string to_json(const DesignResponse& response) {
-  std::ostringstream os;
-  os << "{\"feasible\":" << (response.feasible ? "true" : "false")
-     << ",\"from_archive\":" << (response.from_archive ? "true" : "false")
-     << ",\"best\":";
-  write_point(os, response.best);
-  os << ",\"evaluations\":" << response.evaluations
-     << ",\"cache_hits\":" << response.cache_hits
-     << ",\"store_hits\":" << response.store_hits
-     << ",\"divergent_duplicates\":" << response.divergent_duplicates
-     << ",\"store_degraded\":" << (response.store_degraded ? "true" : "false")
-     << ",\"front_x\":";
-  robust::write_escaped(os, response.front_x);
-  os << ",\"front_y\":";
-  robust::write_escaped(os, response.front_y);
-  os << ",\"front\":[";
+  std::size_t hint = 256 + response.front_x.size() + response.front_y.size() +
+                     response.summary.size() + point_size_hint(response.best);
+  for (const auto& pt : response.front) hint += point_size_hint(pt) + 1;
+  std::string out;
+  out.reserve(hint);
+  out += response.feasible ? "{\"feasible\":true" : "{\"feasible\":false";
+  out += response.from_archive ? ",\"from_archive\":true"
+                               : ",\"from_archive\":false";
+  out += ",\"best\":";
+  write_point(out, response.best);
+  out += ",\"evaluations\":";
+  robust::append_int(out, response.evaluations);
+  out += ",\"cache_hits\":";
+  robust::append_int(out, response.cache_hits);
+  out += ",\"store_hits\":";
+  robust::append_int(out, response.store_hits);
+  out += ",\"divergent_duplicates\":";
+  robust::append_int(out, response.divergent_duplicates);
+  out += response.store_degraded ? ",\"store_degraded\":true"
+                                 : ",\"store_degraded\":false";
+  out += ",\"front_x\":";
+  robust::append_escaped(out, response.front_x);
+  out += ",\"front_y\":";
+  robust::append_escaped(out, response.front_y);
+  out += ",\"front\":[";
   for (std::size_t i = 0; i < response.front.size(); ++i) {
-    if (i > 0) os << ',';
-    write_point(os, response.front[i]);
+    if (i > 0) out += ',';
+    write_point(out, response.front[i]);
   }
-  os << "],\"summary\":";
-  robust::write_escaped(os, response.summary);
-  os << '}';
-  return os.str();
+  out += "],\"summary\":";
+  robust::append_escaped(out, response.summary);
+  out += '}';
+  return out;
 }
 
 struct DesignService::InFlight {
   std::mutex mutex;
   std::condition_variable cv;
   bool done = false;
+  /// Submits waiting on this search; counted under registry_mutex_, so
+  /// once the leader has unregistered the key the count is final.
+  std::size_t waiters = 0;
+  /// The leader's response, copied here only when waiters > 0.
   DesignResponse response;
   std::exception_ptr error;
 };
@@ -296,6 +324,7 @@ DesignResponse DesignService::submit(const DesignQuery& query,
     auto it = in_flight_.find(key);
     if (it != in_flight_.end()) {
       flight = it->second;
+      ++flight->waiters;
     } else {
       flight = std::make_shared<InFlight>();
       in_flight_.emplace(key, flight);
@@ -321,17 +350,21 @@ DesignResponse DesignService::submit(const DesignQuery& query,
   } catch (...) {
     error = std::current_exception();
   }
+  std::size_t waiters = 0;
   {
     std::lock_guard<std::mutex> lock(registry_mutex_);
     in_flight_.erase(key);
+    waiters = flight->waiters;
   }
-  {
-    std::lock_guard<std::mutex> lock(flight->mutex);
-    flight->done = true;
-    flight->response = response;
-    flight->error = error;
+  if (waiters > 0) {
+    {
+      std::lock_guard<std::mutex> lock(flight->mutex);
+      flight->done = true;
+      if (!error) flight->response = response;
+      flight->error = error;
+    }
+    flight->cv.notify_all();
   }
-  flight->cv.notify_all();
   if (error) std::rethrow_exception(error);
   return response;
 }

@@ -14,7 +14,6 @@
 #include <ranges>
 #include <set>
 #include <span>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -278,17 +277,14 @@ EvalRecord parse_eval_record(const robust::JsonValue& obj,
 std::string payload_for(const std::string& fingerprint,
                         const std::vector<int>& indices, int fidelity,
                         const search::Evaluation& eval) {
-  EvalRecord rec;
-  rec.indices = indices;
-  rec.fidelity = fidelity;
-  rec.eval = eval;
-  std::ostringstream os;
-  os << "{\"fingerprint\":";
-  robust::write_escaped(os, fingerprint);
-  os << ",\"record\":";
-  write_eval_record(os, rec);
-  os << "}";
-  return os.str();
+  std::string out;
+  out.reserve(32 + fingerprint.size() + eval_record_size_hint(indices, eval));
+  out += "{\"fingerprint\":";
+  robust::append_escaped(out, fingerprint);
+  out += ",\"record\":";
+  write_eval_record(out, indices, fidelity, eval);
+  out += '}';
+  return out;
 }
 
 /// Cursor over one payload for parse_payload_direct: each step consumes
@@ -512,28 +508,39 @@ std::string snapshot_text(const EntryTable& entries) {
 
 }  // namespace
 
-void write_eval_record(std::ostream& os, const EvalRecord& rec) {
-  os << "{\"indices\":[";
-  for (std::size_t d = 0; d < rec.indices.size(); ++d) {
-    if (d) os << ',';
-    os << rec.indices[d];
+void write_eval_record(std::string& out, const std::vector<int>& indices,
+                       int fidelity, const search::Evaluation& eval) {
+  out += "{\"indices\":[";
+  for (std::size_t d = 0; d < indices.size(); ++d) {
+    if (d) out += ',';
+    robust::append_int(out, indices[d]);
   }
-  os << "],\"fidelity\":" << rec.fidelity
-     << ",\"feasible\":" << (rec.eval.feasible ? "true" : "false")
-     << ",\"confidence_weight\":";
-  robust::write_double(os, rec.eval.confidence_weight);
-  os << ",\"failure_reason\":";
-  robust::write_escaped(os, rec.eval.failure_reason);
-  os << ",\"metrics\":{";
+  out += "],\"fidelity\":";
+  robust::append_int(out, fidelity);
+  out += eval.feasible ? ",\"feasible\":true" : ",\"feasible\":false";
+  out += ",\"confidence_weight\":";
+  robust::append_double(out, eval.confidence_weight);
+  out += ",\"failure_reason\":";
+  robust::append_escaped(out, eval.failure_reason);
+  out += ",\"metrics\":{";
   bool first = true;
-  for (const auto& [name, value] : rec.eval.metrics) {
-    if (!first) os << ',';
+  for (const auto& [name, value] : eval.metrics) {
+    if (!first) out += ',';
     first = false;
-    robust::write_escaped(os, name);
-    os << ':';
-    robust::write_double(os, value);
+    robust::append_escaped(out, name);
+    out += ':';
+    robust::append_double(out, value);
   }
-  os << "}}";
+  out += "}}";
+}
+
+std::size_t eval_record_size_hint(const std::vector<int>& indices,
+                                  const search::Evaluation& eval) {
+  // The fixed keys and punctuation, then at most 12 bytes per index and
+  // 24 per double plus each name's quotes, colon and comma.
+  std::size_t n = 112 + 12 * indices.size() + eval.failure_reason.size();
+  for (const auto& [name, value] : eval.metrics) n += name.size() + 28;
+  return n;
 }
 
 namespace detail {

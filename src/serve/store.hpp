@@ -57,7 +57,6 @@
 #include <atomic>
 #include <memory>
 #include <optional>
-#include <ostream>
 #include <shared_mutex>
 #include <string>
 #include <string_view>
@@ -82,12 +81,19 @@ struct EvalRecord {
   search::Evaluation eval;
 };
 
-/// Writes `rec` as one JSON object: the record schema of the store's
-/// journal frames (which add the evaluator fingerprint around it) and of
-/// the service's archive points. Doubles are written with round-trip
+/// Appends one evaluation record (grid indices, fidelity, evaluation) to
+/// `out` as one JSON object: the record schema of the store's journal
+/// frames (which add the evaluator fingerprint around it) and of the
+/// service's response points. Doubles are written with round-trip
 /// precision and non-finite values as the bare tokens inf/-inf/nan
 /// (robust/json.hpp), so the store reads every field back bit-exactly.
-void write_eval_record(std::ostream& os, const EvalRecord& rec);
+void write_eval_record(std::string& out, const std::vector<int>& indices,
+                       int fidelity, const search::Evaluation& eval);
+
+/// Bytes write_eval_record appends for this record when no string needs an
+/// escape, give or take a few: a size to reserve before writing it.
+std::size_t eval_record_size_hint(const std::vector<int>& indices,
+                                  const search::Evaluation& eval);
 
 namespace detail {
 

@@ -40,6 +40,7 @@
 #include "serve/binary_codec.hpp"
 #include "serve/service.hpp"
 #include "util/rng.hpp"
+#include "temp_dir.hpp"
 
 namespace metacore::net {
 namespace {
@@ -47,7 +48,7 @@ namespace {
 using namespace std::chrono_literals;
 
 std::string temp_store_path(const char* name) {
-  const std::string path = testing::TempDir() + "/" + name;
+  const std::string path = metacore::test::process_temp_dir() + "/" + name;
   std::remove(path.c_str());
   return path;
 }

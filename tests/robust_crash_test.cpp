@@ -23,6 +23,7 @@
 #include "search/multires_search.hpp"
 #include "serve/store.hpp"
 #include "util/crc32c.hpp"
+#include "temp_dir.hpp"
 
 namespace metacore::robust {
 namespace {
@@ -30,7 +31,7 @@ namespace {
 #ifdef METACORE_FAILPOINTS
 
 std::string temp_path(const char* name) {
-  const std::string path = testing::TempDir() + "/" + name;
+  const std::string path = metacore::test::process_temp_dir() + "/" + name;
   std::remove(path.c_str());
   std::remove((path + ".tmp").c_str());
   return path;
@@ -503,7 +504,8 @@ TEST(IoErrors, PersistentReplaceWriteErrorKeepsTheOldFile) {
 // A target in a directory that does not exist fails at the tmp open, with
 // the prefix and the tmp path in the message, and creates nothing.
 TEST(IoErrors, ReplaceIntoMissingDirectoryNamesTheTmpFile) {
-  const std::string dir = testing::TempDir() + "/replace_missing_dir";
+  const std::string dir =
+      metacore::test::process_temp_dir() + "/replace_missing_dir";
   std::filesystem::remove_all(dir);
   const std::string path = dir + "/target.txt";
   try {

@@ -4,8 +4,20 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <limits>
+#include <map>
+#include <stdexcept>
+#include <tuple>
 
+#include "robust/error.hpp"
+#include "robust/guarded_evaluator.hpp"
+#include "robust/json.hpp"
 #include "search/multires_search.hpp"
+#include "serve/store.hpp"
+#include "util/rng.hpp"
 
 namespace metacore::search {
 namespace {
@@ -275,6 +287,237 @@ TEST(VerifyTopCandidates, CorrectsNoisyWinner) {
   result = verify_top_candidates(std::move(result), space, obj, eval, 5, 1);
   ASSERT_TRUE(result.found_feasible);
   EXPECT_GE(result.best.values[0], 0.6);
+}
+
+// ---------------------------------------------------------------------------
+// SearchParity: whole-SearchResult digests of seeded searches that carry a
+// Bayesian-guarded "ber" metric, a deterministic throughput constraint and a
+// failure mix (invalid points, non-convergence, NaN metrics, transient faults
+// cleared by a retry, and infeasible results with a failure reason). The
+// digests were taken from a search that scored its last level and fed the
+// BER predictor on every absorb, so they pin that skipping the one and
+// deferring the other leave every result byte-for-byte the same.
+
+/// 3-D space with uneven dimension sizes so grids and regions are ragged.
+DesignSpace parity_space() {
+  std::vector<ParameterDef> params(3);
+  params[0].name = "x";
+  for (int i = 0; i < 17; ++i) params[0].values.push_back(i / 16.0);
+  params[1].name = "depth";
+  for (int i = 3; i <= 11; ++i) params[1].values.push_back(i);
+  params[2].name = "width";
+  for (int i = 0; i < 12; ++i) {
+    params[2].values.push_back(0.5 * (1 << (i / 3)) + i);
+  }
+  return DesignSpace(params);
+}
+
+/// A pure function of (seed, point, fidelity, stream): the point's values
+/// are hashed through the counter RNG, so evaluations repeat exactly on any
+/// thread and in any order.
+double parity_uniform(std::uint64_t seed, const std::vector<double>& point,
+                      int fidelity, std::uint64_t stream) {
+  std::uint64_t key = util::substream_key(seed, stream);
+  for (const double v : point) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof(bits));
+    key = util::CounterRng::at(key, bits);
+  }
+  key = util::CounterRng::at(key, static_cast<std::uint64_t>(fidelity));
+  return static_cast<double>(key >> 11) * 0x1.0p-53;
+}
+
+EvaluateFn parity_evaluator(std::uint64_t seed) {
+  return [seed](const std::vector<double>& point, int fidelity) {
+    // The failure kind depends on the point alone, so every fidelity of a
+    // failing point fails the same way.
+    const double fail = parity_uniform(seed, point, 0, 1);
+    if (fail < 0.04) throw std::invalid_argument("degenerate corner");
+    if (fail < 0.06) throw std::logic_error("schedule did not converge");
+    if (fail < 0.10 && robust::current_attempt() == 0) {
+      throw robust::EvalException(robust::EvalErrorKind::InjectedTransient,
+                                  "flaky \"link\"");
+    }
+    Evaluation e;
+    const double x = point[0], depth = point[1], width = point[2];
+    const double noise = parity_uniform(seed, point, fidelity, 2) - 0.5;
+    e.metrics["area"] = 1.0 + 3.0 * x + 0.2 * depth + 0.05 * width +
+                        0.1 * parity_uniform(seed, point, 0, 3);
+    e.metrics["ber"] =
+        std::pow(10.0, -(1.0 + 4.0 * x + 0.2 * depth) + noise / (1 + fidelity));
+    e.metrics["throughput"] = 2.0 * width / depth;
+    e.confidence_weight = 1000.0 * (1 << fidelity);
+    if (fail >= 0.10 && fail < 0.12) {
+      e.metrics["ber"] = std::numeric_limits<double>::quiet_NaN();
+    } else if (fail >= 0.12 && fail < 0.15) {
+      e.feasible = false;
+      e.failure_reason = "invalid-point: tab\there \"quoted\" \\ back";
+    }
+    return e;
+  };
+}
+
+Objective parity_objective() {
+  Objective obj;
+  obj.minimize = "area";
+  obj.constraints.push_back({Constraint::Kind::UpperBound, "ber", 1e-3});
+  obj.constraints.push_back({Constraint::Kind::LowerBound, "throughput", 0.8});
+  return obj;
+}
+
+struct ParityCase {
+  int max_resolution;
+  int regions_per_level;
+  std::size_t max_evaluations;
+};
+
+std::vector<ParityCase> parity_cases() {
+  std::vector<ParityCase> cases;
+  for (const int res : {0, 1, 3}) {
+    for (const int regions : {1, 2, 3}) {
+      for (const std::size_t budget : {std::size_t{70}, std::size_t{400}}) {
+        cases.push_back({res, regions, budget});
+      }
+    }
+  }
+  return cases;
+}
+
+SearchConfig parity_config(const ParityCase& c) {
+  SearchConfig config;
+  config.max_resolution = c.max_resolution;
+  config.regions_per_level = c.regions_per_level;
+  config.max_evaluations = c.max_evaluations;
+  config.probabilistic_metric = "ber";
+  return config;
+}
+
+void append_point(std::string& out, const EvaluatedPoint& p) {
+  out += "values=";
+  for (const double v : p.values) {
+    robust::append_g17(out, v);
+    out += ',';
+  }
+  serve::write_eval_record(out, p.indices, p.fidelity, p.eval);
+  out += '\n';
+}
+
+/// FNV-1a over every byte of the result a caller can read, bar the
+/// run-local store_hits, divergent_duplicates and failure counters.
+std::uint64_t parity_digest(const SearchResult& r) {
+  std::string text = r.found_feasible ? "feasible\n" : "infeasible\n";
+  append_point(text, r.best);
+  text += "evaluations=" + std::to_string(r.evaluations) +
+          " cache_hits=" + std::to_string(r.cache_hits) +
+          " levels=" + std::to_string(r.levels_executed) + '\n';
+  for (const EvaluatedPoint& p : r.history) append_point(text, p);
+  return serve::fingerprint_hash(text);
+}
+
+/// In-memory EvaluationStoreBase for the warm-replay half of the oracle.
+class MapStore final : public EvaluationStoreBase {
+ public:
+  std::optional<Evaluation> lookup(const std::string& fingerprint,
+                                   const std::vector<int>& indices,
+                                   int fidelity) override {
+    const auto it = entries_.find({fingerprint, indices, fidelity});
+    if (it == entries_.end()) return std::nullopt;
+    return it->second;
+  }
+  void record(const std::string& fingerprint, const std::vector<int>& indices,
+              int fidelity, const Evaluation& eval) override {
+    entries_.emplace(std::make_tuple(fingerprint, indices, fidelity), eval);
+  }
+
+ private:
+  std::map<std::tuple<std::string, std::vector<int>, int>, Evaluation>
+      entries_;
+};
+
+// Digests per (seed, case), in parity_cases() order.
+constexpr std::uint64_t kParityDigests[2][18] = {
+    {
+     0xbd941548bcf46866ull, 0xbd941548bcf46866ull, 0xbd941548bcf46866ull,
+     0xbd941548bcf46866ull, 0xbd941548bcf46866ull, 0xbd941548bcf46866ull,
+     0xef2469ea8297619eull, 0xef2469ea8297619eull, 0x59a804c25126b32bull,
+     0x4887d5480716fcdeull, 0x59a804c25126b32bull, 0x5ec11f81a721b1e4ull,
+     0x7d87467cab275778ull, 0x7d87467cab275778ull, 0xd0f110b038c1b46eull,
+     0xfc412e7a3f2b3245ull, 0x77e73087e1a58877ull, 0x9b0702cf7865e4dfull,
+    },
+    {
+     0xfd9ea1efa60203c8ull, 0xfd9ea1efa60203c8ull, 0xfd9ea1efa60203c8ull,
+     0xfd9ea1efa60203c8ull, 0xfd9ea1efa60203c8ull, 0xfd9ea1efa60203c8ull,
+     0x71146bb6e4ad1cc4ull, 0x71146bb6e4ad1cc4ull, 0xe62cb076270036f4ull,
+     0x4e192d890b0dd82eull, 0xe62cb076270036f4ull, 0x116e7dc3f53d9af2ull,
+     0xa118115ce52dea4full, 0xa118115ce52dea4full, 0x326e8ce07f33300cull,
+     0x492571d2bd539007ull, 0xc310ab478b708ae3ull, 0x708fccc0cea95eb6ull,
+    },
+};
+
+std::string parity_name(std::uint64_t seed, const ParityCase& c) {
+  return "seed " + std::to_string(seed) + " max_resolution " +
+         std::to_string(c.max_resolution) + " regions " +
+         std::to_string(c.regions_per_level) + " max_evaluations " +
+         std::to_string(c.max_evaluations);
+}
+
+TEST(SearchParity, ColdSearchesMatchThePinnedDigests) {
+  const DesignSpace space = parity_space();
+  const auto cases = parity_cases();
+  std::size_t failed_evaluations = 0, recovered = 0;
+  std::string actual;
+  for (std::uint64_t seed : {1u, 2u}) {
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+      SCOPED_TRACE(parity_name(seed, cases[i]));
+      MultiresolutionSearch engine(space, parity_objective(),
+                                   parity_evaluator(seed),
+                                   parity_config(cases[i]));
+      const SearchResult result = engine.run();
+      failed_evaluations += result.failures.failed_evaluations;
+      recovered += result.failures.recovered;
+      char hex[32];
+      std::snprintf(hex, sizeof(hex), "0x%016llxull,",
+                    static_cast<unsigned long long>(parity_digest(result)));
+      actual += hex;
+      EXPECT_EQ(parity_digest(result), kParityDigests[seed - 1][i]);
+    }
+    actual += '\n';
+  }
+  // The failure mix really reaches the search.
+  EXPECT_GT(failed_evaluations, 0u);
+  EXPECT_GT(recovered, 0u);
+  if (HasFailure()) ADD_FAILURE() << "actual digests:\n" << actual;
+}
+
+TEST(SearchParity, WarmReplaysMatchThePinnedDigestsWithoutEvaluatorCalls) {
+  const DesignSpace space = parity_space();
+  const auto cases = parity_cases();
+  for (std::uint64_t seed : {1u, 2u}) {
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+      SCOPED_TRACE(parity_name(seed, cases[i]));
+      auto store = std::make_shared<MapStore>();
+      SearchConfig config = parity_config(cases[i]);
+      config.store = store;
+      config.store_fingerprint = "parity-" + std::to_string(seed);
+      MultiresolutionSearch cold(space, parity_objective(),
+                                 parity_evaluator(seed), config);
+      const SearchResult first = cold.run();
+      std::atomic<std::size_t> calls{0};
+      const EvaluateFn inner = parity_evaluator(seed);
+      MultiresolutionSearch warm(
+          space, parity_objective(),
+          [&](const std::vector<double>& point, int fidelity) {
+            calls.fetch_add(1);
+            return inner(point, fidelity);
+          },
+          config);
+      const SearchResult replay = warm.run();
+      EXPECT_EQ(calls.load(), 0u);
+      EXPECT_EQ(replay.store_hits, replay.evaluations);
+      EXPECT_EQ(parity_digest(first), kParityDigests[seed - 1][i]);
+      EXPECT_EQ(parity_digest(replay), kParityDigests[seed - 1][i]);
+    }
+  }
 }
 
 }  // namespace

@@ -17,12 +17,13 @@
 #include "serve/binary_codec.hpp"
 #include "serve/service.hpp"
 #include "serve/store.hpp"
+#include "temp_dir.hpp"
 
 namespace metacore::serve {
 namespace {
 
 std::string temp_store_path(const char* name) {
-  const std::string path = testing::TempDir() + "/" + name;
+  const std::string path = metacore::test::process_temp_dir() + "/" + name;
   std::remove(path.c_str());
   return path;
 }

@@ -3,7 +3,12 @@
 // byte-identical responses at any thread count.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <limits>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -11,12 +16,14 @@
 #include "exec/thread_pool.hpp"
 #include "robust/json.hpp"
 #include "serve/service.hpp"
+#include "util/rng.hpp"
+#include "temp_dir.hpp"
 
 namespace metacore::serve {
 namespace {
 
 std::string temp_store_path(const char* name) {
-  const std::string path = testing::TempDir() + "/" + name;
+  const std::string path = metacore::test::process_temp_dir() + "/" + name;
   std::remove(path.c_str());
   return path;
 }
@@ -372,6 +379,246 @@ TEST(DesignService, MixedBatchIsByteIdenticalAtAnyThreadCount) {
   // The archive query ran after its group's search: populated answer.
   EXPECT_NE(runs[0][4].find("\"from_archive\":true"), std::string::npos);
   EXPECT_NE(runs[0][4].find("\"feasible\":true"), std::string::npos);
+}
+
+TEST(DesignService, CoalescedFollowersGetTheLeadersResponse) {
+  // The leader registers the key before it counts its query, so once the
+  // service has counted one query the followers started next find the
+  // search in flight (it runs for many milliseconds) and wait on it.
+  constexpr int kThreads = 4;
+  DesignService service;
+  const DesignQuery query = small_viterbi_query();
+  std::vector<DesignResponse> responses(kThreads);
+  std::vector<std::thread> threads;
+  threads.emplace_back([&] { responses[0] = service.submit(query); });
+  while (service.stats().queries == 0) std::this_thread::yield();
+  for (int t = 1; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      responses[static_cast<std::size_t>(t)] = service.submit(query);
+    });
+  }
+  for (auto& t : threads) t.join();
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.queries, static_cast<std::size_t>(kThreads));
+  EXPECT_EQ(stats.searches_launched, 1u);
+  EXPECT_EQ(stats.coalesced, static_cast<std::size_t>(kThreads - 1));
+  const std::string leader = to_json(responses[0]);
+  EXPECT_NE(leader.find("\"front\":[{"), std::string::npos);
+  for (const DesignResponse& r : responses) {
+    EXPECT_EQ(r.best.indices, responses[0].best.indices);
+    EXPECT_EQ(r.best.eval.metrics, responses[0].best.eval.metrics);
+    EXPECT_EQ(to_json(r), leader);
+  }
+}
+
+// The response writer's bytes are pinned against the ostream writer it
+// replaced: the response, point and record writers are copied here as they
+// were; under them sit a per-character escaper and printf's "%.17g".
+namespace stream_writer {
+
+void write_escaped(std::ostream& os, const std::string& s) {
+  os.put('"');
+  for (const char c : s) {
+    switch (c) {
+      case '"': os.write("\\\"", 2); break;
+      case '\\': os.write("\\\\", 2); break;
+      case '\n': os.write("\\n", 2); break;
+      case '\r': os.write("\\r", 2); break;
+      case '\t': os.write("\\t", 2); break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          static constexpr char kHex[] = "0123456789abcdef";
+          const char esc[6] = {'\\', 'u', '0', '0', kHex[(c >> 4) & 0xF],
+                               kHex[c & 0xF]};
+          os.write(esc, sizeof(esc));
+        } else {
+          os.put(c);
+        }
+    }
+  }
+  os.put('"');
+}
+
+void write_double(std::ostream& os, double v) {
+  if (std::isnan(v)) {
+    os << "nan";
+  } else if (std::isinf(v)) {
+    os << (v > 0 ? "inf" : "-inf");
+  } else {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    os << buf;
+  }
+}
+
+void write_eval_record(std::ostream& os, const EvalRecord& rec) {
+  os << "{\"indices\":[";
+  for (std::size_t d = 0; d < rec.indices.size(); ++d) {
+    if (d) os << ',';
+    os << rec.indices[d];
+  }
+  os << "],\"fidelity\":" << rec.fidelity
+     << ",\"feasible\":" << (rec.eval.feasible ? "true" : "false")
+     << ",\"confidence_weight\":";
+  write_double(os, rec.eval.confidence_weight);
+  os << ",\"failure_reason\":";
+  write_escaped(os, rec.eval.failure_reason);
+  os << ",\"metrics\":{";
+  bool first = true;
+  for (const auto& [name, value] : rec.eval.metrics) {
+    if (!first) os << ',';
+    first = false;
+    write_escaped(os, name);
+    os << ':';
+    write_double(os, value);
+  }
+  os << "}}";
+}
+
+void write_point(std::ostream& os, const search::EvaluatedPoint& pt) {
+  os << "{\"values\":[";
+  for (std::size_t i = 0; i < pt.values.size(); ++i) {
+    if (i > 0) os << ',';
+    write_double(os, pt.values[i]);
+  }
+  os << "],\"record\":";
+  write_eval_record(os, EvalRecord{pt.indices, pt.fidelity, pt.eval});
+  os << '}';
+}
+
+std::string to_json(const DesignResponse& response) {
+  std::ostringstream os;
+  os << "{\"feasible\":" << (response.feasible ? "true" : "false")
+     << ",\"from_archive\":" << (response.from_archive ? "true" : "false")
+     << ",\"best\":";
+  write_point(os, response.best);
+  os << ",\"evaluations\":" << response.evaluations
+     << ",\"cache_hits\":" << response.cache_hits
+     << ",\"store_hits\":" << response.store_hits
+     << ",\"divergent_duplicates\":" << response.divergent_duplicates
+     << ",\"store_degraded\":" << (response.store_degraded ? "true" : "false")
+     << ",\"front_x\":";
+  write_escaped(os, response.front_x);
+  os << ",\"front_y\":";
+  write_escaped(os, response.front_y);
+  os << ",\"front\":[";
+  for (std::size_t i = 0; i < response.front.size(); ++i) {
+    if (i > 0) os << ',';
+    write_point(os, response.front[i]);
+  }
+  os << "],\"summary\":";
+  write_escaped(os, response.summary);
+  os << '}';
+  return os.str();
+}
+
+}  // namespace stream_writer
+
+/// Seeded response fields that reach every branch of the writers.
+class ResponseGen {
+ public:
+  explicit ResponseGen(std::uint64_t key) : rng_(key) {}
+
+  std::uint64_t bits() { return rng_(); }
+  std::size_t below(std::size_t n) {
+    return static_cast<std::size_t>(rng_() % n);
+  }
+
+  double number() {
+    switch (below(14)) {
+      case 0: return std::numeric_limits<double>::quiet_NaN();
+      case 1: return -std::numeric_limits<double>::quiet_NaN();
+      case 2: return std::numeric_limits<double>::infinity();
+      case 3: return -std::numeric_limits<double>::infinity();
+      case 4: return -0.0;
+      case 5: return 0.0;
+      case 6: return 4.9406564584124654e-324;  // smallest denormal
+      case 7: return -2.2250738585072009e-308;  // largest denormal
+      case 8: return 0.1 + 0.2;
+      case 9: return static_cast<double>(bits() % 2000) - 1000.0;
+      case 10: return std::ldexp(static_cast<double>(bits() >> 11), -53);
+      default: {
+        // Any bit pattern: NaN payloads, denormals, extreme exponents.
+        const std::uint64_t b = bits();
+        double v;
+        std::memcpy(&v, &b, sizeof(v));
+        return v;
+      }
+    }
+  }
+
+  std::string text(std::size_t max_len) {
+    std::string s(below(max_len + 1), '\0');
+    for (char& c : s) {
+      switch (below(6)) {
+        case 0: c = static_cast<char>(below(0x20)); break;  // control
+        case 1: c = '"'; break;
+        case 2: c = '\\'; break;
+        case 3: c = static_cast<char>(0x7f + below(0x81)); break;  // high
+        default: c = static_cast<char>(0x20 + below(0x5f)); break;
+      }
+    }
+    return s;
+  }
+
+  search::EvaluatedPoint point() {
+    search::EvaluatedPoint pt;
+    const std::size_t dims = below(5);
+    for (std::size_t d = 0; d < dims; ++d) {
+      pt.indices.push_back(static_cast<int>(bits() % 4001) - 2000);
+      pt.values.push_back(number());
+    }
+    pt.fidelity = static_cast<int>(bits() % 9) - 1;
+    pt.eval.feasible = below(2) == 0;
+    pt.eval.confidence_weight = number();
+    pt.eval.failure_reason = below(3) == 0 ? text(24) : std::string();
+    const std::size_t metrics = below(9);
+    for (std::size_t m = 0; m < metrics; ++m) {
+      pt.eval.metrics[text(10)] = number();
+    }
+    return pt;
+  }
+
+  DesignResponse response() {
+    DesignResponse r;
+    r.feasible = below(2) == 0;
+    r.from_archive = below(2) == 0;
+    r.store_degraded = below(4) == 0;
+    r.best = point();
+    r.evaluations = below(2) == 0 ? bits() : below(500);
+    r.cache_hits = below(500);
+    r.store_hits = bits();
+    r.divergent_duplicates = below(3);
+    r.front_x = text(12);
+    r.front_y = text(12);
+    const std::size_t front = below(5);
+    for (std::size_t i = 0; i < front; ++i) r.front.push_back(point());
+    r.summary = text(80);
+    return r;
+  }
+
+ private:
+  util::CounterRng rng_;
+};
+
+TEST(ResponseJson, AppendWriterMatchesTheStreamWriter) {
+  for (std::uint64_t i = 0; i < 10000; ++i) {
+    ResponseGen gen(util::substream_key(2024, i));
+    const DesignResponse response = gen.response();
+    const std::string expected = stream_writer::to_json(response);
+    ASSERT_EQ(to_json(response), expected) << "response " << i;
+  }
+}
+
+TEST(ResponseJson, AppendWriterMatchesTheStreamWriterOnServedAnswers) {
+  // Real answers too: a search and an archive answer over it.
+  DesignService service;
+  DesignQuery query = small_viterbi_query();
+  const DesignResponse searched = service.submit(query);
+  query.archive_only = true;
+  const DesignResponse archived = service.submit(query);
+  EXPECT_EQ(to_json(searched), stream_writer::to_json(searched));
+  EXPECT_EQ(to_json(archived), stream_writer::to_json(archived));
 }
 
 }  // namespace

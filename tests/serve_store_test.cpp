@@ -35,12 +35,13 @@
 #include "search/multires_search.hpp"
 #include "serve/store.hpp"
 #include "util/rng.hpp"
+#include "temp_dir.hpp"
 
 namespace metacore::serve {
 namespace {
 
 std::string temp_store_path(const char* name) {
-  const std::string path = testing::TempDir() + "/" + name;
+  const std::string path = metacore::test::process_temp_dir() + "/" + name;
   std::remove(path.c_str());
   return path;
 }
@@ -231,9 +232,9 @@ TEST(EvalRecord, WriteEvalRecordBytesArePinned) {
                       {"nan", std::numeric_limits<double>::quiet_NaN()},
                       {"tiny", 4.9406564584124654e-324},
                       {"zero", -0.0}};
-  std::ostringstream os;
-  write_eval_record(os, rec);
-  EXPECT_EQ(os.str(),
+  std::string out;
+  write_eval_record(out, rec.indices, rec.fidelity, rec.eval);
+  EXPECT_EQ(out,
             R"({"indices":[3,1],"fidelity":2,"feasible":false,)"
             R"("confidence_weight":3.0517578125e-05,)"
             R"("failure_reason":"invalid-point: \"quoted\"\n\ttabbed \\ slash",)"
